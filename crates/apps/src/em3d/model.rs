@@ -12,6 +12,7 @@
 
 use crate::em3d::body::Em3dSystem;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use std::sync::OnceLock;
 
 /// Figure 4 of the paper, character-for-character up to whitespace.
 pub const EM3D_MODEL_SOURCE: &str = r"
@@ -34,13 +35,19 @@ algorithm Em3d(int p, int k, int d[p], int dep[p][p]) {
 }
 ";
 
-/// Compiles the Figure 4 model.
+/// The Figure 4 model, compiled on first use and shared by every later
+/// call in the process.
 ///
 /// # Errors
 /// Never fails in practice (the source is a compile-time constant, covered
 /// by tests); the `Result` mirrors the general pipeline.
 pub fn em3d_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(EM3D_MODEL_SOURCE)
+    static MODEL: OnceLock<CompiledModel> = OnceLock::new();
+    Ok(MODEL
+        .get_or_init(|| {
+            CompiledModel::compile(EM3D_MODEL_SOURCE).expect("Figure 4 source is valid")
+        })
+        .clone())
 }
 
 /// Packs the model parameters from a generated system — the paper's

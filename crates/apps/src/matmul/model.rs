@@ -15,6 +15,7 @@
 
 use crate::matmul::dist::GeneralizedBlockDist;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use std::sync::OnceLock;
 
 /// Figure 7 of the paper (with the `w[I]`→`w[J]` fix described in the
 /// module docs).
@@ -73,12 +74,18 @@ algorithm ParallelAxB(int m, int r, int n, int l, int w[m],
 };
 ";
 
-/// Compiles the Figure 7 model.
+/// The Figure 7 model, compiled on first use and shared by every later
+/// call in the process.
 ///
 /// # Errors
 /// Never fails in practice (compile-time constant source, covered by tests).
 pub fn matmul_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(MATMUL_MODEL_SOURCE)
+    static MODEL: OnceLock<CompiledModel> = OnceLock::new();
+    Ok(MODEL
+        .get_or_init(|| {
+            CompiledModel::compile(MATMUL_MODEL_SOURCE).expect("Figure 7 source is valid")
+        })
+        .clone())
 }
 
 /// Packs the model parameters for a distribution — the Figure 8 program's

@@ -10,6 +10,7 @@
 
 use crate::nbody::body::NbodyConfig;
 use perfmodel::{CompiledModel, EvalError, ModelInstance, ParamValue, ParseError};
+use std::sync::OnceLock;
 
 /// The model source.
 pub const NBODY_MODEL_SOURCE: &str = r"
@@ -31,12 +32,18 @@ algorithm Nbody(int p, int k, int d[p], int total) {
 }
 ";
 
-/// Compiles the N-body model.
+/// The N-body model, compiled on first use and shared by every later call
+/// in the process.
 ///
 /// # Errors
 /// Never fails in practice (compile-time constant source).
 pub fn nbody_compiled() -> Result<CompiledModel, ParseError> {
-    CompiledModel::compile(NBODY_MODEL_SOURCE)
+    static MODEL: OnceLock<CompiledModel> = OnceLock::new();
+    Ok(MODEL
+        .get_or_init(|| {
+            CompiledModel::compile(NBODY_MODEL_SOURCE).expect("N-body model source is valid")
+        })
+        .clone())
 }
 
 /// Packs the model parameters for a configuration.

@@ -84,6 +84,7 @@ impl std::error::Error for JsonError {}
 /// characters, and non-finite numbers (which JSON cannot represent).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -97,6 +98,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -253,13 +255,18 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing on
-                    // char boundaries is safe to find).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // A run of plain characters, up to the next quote,
+                    // backslash or control byte. Those are all ASCII, so the
+                    // run starts and ends on char boundaries of the input,
+                    // which is already valid UTF-8.
+                    let start = self.pos;
+                    while let Some(c) = self.peek() {
+                        if c == b'"' || c == b'\\' || c < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -335,5 +342,64 @@ mod tests {
         .unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert_eq!(events[0].get("tid").unwrap().as_f64(), Some(3.0));
+    }
+
+    #[test]
+    fn multi_byte_characters_survive_next_to_escapes() {
+        let doc = parse(r#"{"é€": "a\"é\\€\n𝄞\u00e9z", "𝄞": ["ü", "\u20ac"]}"#).unwrap();
+        assert_eq!(
+            doc.get("é€").and_then(JsonValue::as_str),
+            Some("a\"é\\€\n𝄞éz")
+        );
+        let arr = doc.get("𝄞").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(arr[0].as_str(), Some("ü"));
+        assert_eq!(arr[1].as_str(), Some("€"));
+        // A control character after a multi-byte one is still refused, at
+        // its own byte offset.
+        let err = parse("\"é\u{1}\"").unwrap_err();
+        assert_eq!(err.at, 3);
+    }
+
+    #[test]
+    fn escapes_that_encode_no_scalar_value_are_rejected() {
+        // Raw invalid UTF-8 cannot reach the parser (it takes `&str`); an
+        // escape is the only way to name a non-scalar, and it is refused.
+        for bad in [
+            r#""\ud800""#,
+            r#""\udfff""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
+            r#""\x41""#,
+            "\"\\",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn parses_a_multi_mebibyte_trace_document() {
+        let mut text = String::from(r#"{"traceEvents":["#);
+        let events = 20_000;
+        for i in 0..events {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(&format!(
+                r#"{{"name":"send→{i} \"é\"","cat":"p2p","ph":"X","pid":0,"tid":{},"ts":{}.5,"dur":0.25,"args":{{"bytes":{},"peer":"rank-{}"}}}}"#,
+                i % 16,
+                i,
+                i * 8,
+                (i + 1) % 16
+            ));
+        }
+        text.push_str(r#"],"displayTimeUnit":"ms"}"#);
+        assert!(text.len() > 2 << 20, "document is {} bytes", text.len());
+        let doc = parse(&text).unwrap();
+        let list = doc.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(list.len(), events);
+        assert_eq!(
+            list[events - 1].get("name").and_then(JsonValue::as_str),
+            Some(format!("send→{} \"é\"", events - 1).as_str())
+        );
     }
 }

@@ -489,6 +489,8 @@ impl Comm {
         };
 
         let env = 'matched: {
+            // Read before any check this wait sleeps on (see `Mailbox::rings`).
+            let mut seen = mb.rings();
             // Fast path: deliverable (or provably late) message already queued.
             match mb.claim(pat, eff_deadline) {
                 Claim::Matched(env) => break 'matched env,
@@ -524,7 +526,13 @@ impl Comm {
                 });
             }
             loop {
-                mb.wait_deliverable(std::slice::from_ref(&pat), eff_deadline, WAKE_BACKSTOP);
+                mb.wait_deliverable(
+                    std::slice::from_ref(&pat),
+                    eff_deadline,
+                    seen,
+                    WAKE_BACKSTOP,
+                );
+                seen = mb.rings();
                 // Claim atomically with the registry so the classifier can
                 // never see us blocked *after* we consumed our message.
                 match reg.claim_for(my_world, pat, eff_deadline) {
@@ -788,6 +796,7 @@ impl Comm {
             ),
         };
         let hit = 'found: {
+            let mut seen = mb.rings();
             if let Some(hit) = mb.try_probe(pat) {
                 break 'found hit;
             }
@@ -812,10 +821,11 @@ impl Comm {
                         other => other,
                     });
                 }
-                if let Some(hit) = mb.wait_or_peek(pat, WAKE_BACKSTOP) {
+                if let Some(hit) = mb.wait_or_peek(pat, seen, WAKE_BACKSTOP) {
                     reg.unblock(my_world);
                     break 'found hit;
                 }
+                seen = mb.rings();
                 if let Some(err) = self.peer_abort(pat.src_world, false) {
                     let late = mb.try_probe(pat);
                     reg.unblock(my_world);
@@ -1139,6 +1149,7 @@ impl Comm {
             self.clock.merge(a.at);
             Ok((a, ctx))
         };
+        let mut seen = mb.rings();
         if let Some((a, ctx)) = table.try_outcome(key, is_dead) {
             return finish(a, ctx);
         }
@@ -1160,7 +1171,8 @@ impl Comm {
                     other => other,
                 });
             }
-            mb.wait_deliverable(&[], None, WAKE_BACKSTOP);
+            mb.wait_deliverable(&[], None, seen, WAKE_BACKSTOP);
+            seen = mb.rings();
             verdict = reg.check(my_world);
             if let Some((a, ctx)) = table.try_outcome(key, is_dead) {
                 reg.unblock(my_world);
@@ -1280,6 +1292,7 @@ pub fn wait_any<T: MpiType>(
     waiting_on.sort_unstable();
     let start = Instant::now();
     loop {
+        let seen = mb.rings();
         // The sweep runs while registered Active, so the classifier never
         // misreads a consumed message as a stuck wait.
         comm.check_self_alive()?;
@@ -1365,7 +1378,7 @@ pub fn wait_any<T: MpiType>(
                 other => other,
             });
         }
-        mb.wait_deliverable(&pats, own_tc, WAKE_BACKSTOP);
+        mb.wait_deliverable(&pats, own_tc, seen, WAKE_BACKSTOP);
         if let Some(v) = reg.check(my_world) {
             return Err(match v {
                 MpiError::Timeout => comm.resolve_timeout(true, own_tc, None),

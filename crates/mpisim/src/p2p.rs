@@ -31,6 +31,13 @@
 //! condvar only when a waiter is registered — so the hot path posts
 //! without ever touching the receiver's lock, and idle receivers wake
 //! event-driven rather than by the old 25 ms poll slice.
+//!
+//! Guarded waits also watch state outside the mailbox (peer liveness,
+//! quiescence verdicts, agreement deposits), which their callers check
+//! *before* taking the mailbox lock. A ring landing between that check
+//! and the sleep would be lost, so every [`Mailbox::wake_all`] bumps a
+//! ring count: the caller reads it ([`Mailbox::rings`]) before its
+//! checks and hands it to the wait, which does not sleep if it moved.
 
 use crate::lane::LaneSet;
 use crate::pool::Lease;
@@ -38,7 +45,7 @@ use crate::vtime::{quantum_of, WireXfer};
 use hetsim::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Wildcard source (`MPI_ANY_SOURCE`).
@@ -535,6 +542,8 @@ pub struct Mailbox {
     /// Receivers registered for a doorbell ring; producers skip the
     /// notify (and its lock) when zero.
     waiters: AtomicUsize,
+    /// Count of [`Mailbox::wake_all`] rings, bumped under the store lock.
+    rings: AtomicU64,
 }
 
 impl Default for Mailbox {
@@ -557,6 +566,7 @@ impl Mailbox {
             cond: Condvar::new(),
             lanes: LaneSet::new(n),
             waiters: AtomicUsize::new(0),
+            rings: AtomicU64::new(0),
         }
     }
 
@@ -597,7 +607,16 @@ impl Mailbox {
         // caller made and prevents the notify landing in a waiter's
         // check-to-sleep window (see post_lane).
         let _guard = self.state.lock();
+        self.rings.fetch_add(1, Ordering::SeqCst);
         self.cond.notify_all();
+    }
+
+    /// The number of [`Mailbox::wake_all`] rings so far. A guarded wait
+    /// reads it before checking the conditions it sleeps on and passes it
+    /// to [`Mailbox::wait_deliverable`] / [`Mailbox::wait_or_peek`], so a
+    /// ring between the check and the sleep is not lost.
+    pub(crate) fn rings(&self) -> u64 {
+        self.rings.load(Ordering::SeqCst)
     }
 
     /// Removes and returns the first queued envelope matching `pat`,
@@ -642,10 +661,12 @@ impl Mailbox {
 
     /// Like a claiming receive's wait but leaves the message queued
     /// (probe). Returns the matched envelope's metadata, or `None` after
-    /// the bounded wait.
+    /// the bounded wait. Does not sleep if the ring count has moved past
+    /// `seen` (see [`Mailbox::rings`]).
     pub(crate) fn wait_or_peek(
         &self,
         pat: Pattern,
+        seen: u64,
         timeout: Duration,
     ) -> Option<(usize, i32, usize, SimTime)> {
         let mut st = self.state.lock();
@@ -653,6 +674,7 @@ impl Mailbox {
         st.sync(&self.lanes);
         let hit = match st.peek(pat) {
             Some(hit) => Some(hit),
+            None if self.rings() != seen => None,
             None => {
                 self.cond.wait_for(&mut st, timeout);
                 st.sync(&self.lanes);
@@ -667,11 +689,14 @@ impl Mailbox {
     /// `deadline` (per [`Store::progressable`]), a wakeup arrives, or
     /// `timeout` elapses — the sleep primitive of every guarded wait loop.
     /// With empty `pats` this is a pure interruptible sleep (used by
-    /// agreement polls). Returns true if progress is possible.
+    /// agreement polls). Does not sleep if the ring count has moved past
+    /// `seen` (see [`Mailbox::rings`]). Returns true if progress is
+    /// possible.
     pub(crate) fn wait_deliverable(
         &self,
         pats: &[Pattern],
         deadline: Option<SimTime>,
+        seen: u64,
         timeout: Duration,
     ) -> bool {
         let mut st = self.state.lock();
@@ -680,6 +705,8 @@ impl Mailbox {
         let check = |st: &Store| pats.iter().any(|p| st.progressable(p, deadline));
         let ok = if check(&st) {
             true
+        } else if self.rings() != seen {
+            false
         } else {
             self.cond.wait_for(&mut st, timeout);
             st.sync(&self.lanes);
@@ -1010,6 +1037,28 @@ mod tests {
         mb.post_lane(env(1, 0, 0, b"late"));
         let got = h.join().unwrap();
         assert_eq!(got.bytes(), b"late");
+    }
+
+    #[test]
+    fn ring_before_the_wait_is_not_lost() {
+        let mb = Mailbox::for_world(2);
+        let pat = Pattern {
+            ctx: 1,
+            src_world: Some(0),
+            tag: Some(0),
+        };
+        // A ring between the caller's checks and its sleep: the wait must
+        // return at once instead of sleeping out its (here 30 s) bound.
+        let seen = mb.rings();
+        mb.wake_all();
+        let t = std::time::Instant::now();
+        assert!(!mb.wait_deliverable(&[pat], None, seen, Duration::from_secs(30)));
+        assert!(mb.wait_or_peek(pat, seen, Duration::from_secs(30)).is_none());
+        assert!(t.elapsed() < Duration::from_secs(20));
+        // With no ring since `seen`, the wait sleeps its bound.
+        let t = std::time::Instant::now();
+        assert!(!mb.wait_deliverable(&[], None, mb.rings(), Duration::from_millis(20)));
+        assert!(t.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scheme compilation: lowering a model's event stream to a flat cost
 //! program.
 //!
-//! Every objective evaluation of the group-selection search used to re-walk
-//! the scheme AST through [`crate::scheme::run_scheme`]. But the event
+//! Every objective evaluation of the group-selection search used to re-run
+//! the scheme through [`PerformanceModel::run_scheme`]. But the event
 //! stream a model emits is *assignment-independent*: the scheme sees only
 //! the model's own parameters (volumes, communication volumes, coordinate
 //! space), never the speeds or link costs of the mapping being priced. So
@@ -15,7 +15,7 @@
 //! * [`CostProgram::price`] replays the op list against a [`PairCost`]
 //!   (per-processor speeds, pairwise latency/bandwidth) with exactly the
 //!   [`TimelineSink`] clock arithmetic — the same floating-point operations
-//!   in the same order, so the result is bit-identical to interpreting the
+//!   in the same order, so the result is bit-identical to running the
 //!   scheme into a `TimelineSink`;
 //! * [`CostProgram::price_baseline`] + [`CostProgram::price_delta`] support
 //!   incremental re-pricing: the program is split into top-level *segments*
@@ -286,7 +286,7 @@ impl CostProgram {
     }
 
     /// Full evaluation: the makespan of the program under `cost`.
-    /// Bit-identical to interpreting the scheme into a
+    /// Bit-identical to running the scheme into a
     /// [`crate::scheme::TimelineSink`] built from the same costs.
     pub fn price<C: PairCost + ?Sized>(&self, cost: &C, scratch: &mut PriceScratch) -> f64 {
         assert_eq!(scratch.clocks.len(), self.n, "scratch sized for this program");

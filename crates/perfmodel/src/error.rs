@@ -33,7 +33,7 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A runtime failure while evaluating model expressions or interpreting a
+/// A runtime failure while evaluating model expressions or running a
 /// scheme.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {

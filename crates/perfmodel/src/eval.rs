@@ -1,14 +1,18 @@
-//! Expression evaluation.
+//! Extern functions, builtins and standalone expression evaluation.
 //!
-//! Two evaluation contexts exist, per the crate-level semantics note:
-//! [`eval_int`] (array subscripts, loop control, guards — C integer
-//! semantics with truncating division) and [`eval_num`] (volume and
-//! percentage expressions — `f64` with true division).
+//! Models evaluate through their lowered form (module `lower`). This
+//! module holds what that form calls out to — the extern-function registry
+//! and the Figure 7 builtin `GetProcessor` — plus [`eval_int`] and
+//! [`eval_num`], which run one expression through the same lowering in the
+//! two contexts the crate-level semantics note defines: integer (array
+//! subscripts, loop control, guards — C integer semantics with truncating
+//! division) and number (volume and percentage expressions — `f64` with
+//! true division).
 
-use crate::ast::{BinOp, Expr, UnOp};
-use crate::env::Env;
+use crate::ast::Expr;
 use crate::error::EvalError;
-use crate::value::{StructVal, Value};
+use crate::lower::Lowered;
+use crate::value::{ArrayVal, StructVal, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,10 +30,36 @@ pub struct ExternResult {
 /// write back.
 pub type ExternFn = Arc<dyn Fn(&[Value]) -> Result<ExternResult, EvalError> + Send + Sync>;
 
+/// A registry entry: the builtin, which the lowered form can run without
+/// building argument values, or a registered function.
+#[derive(Clone)]
+pub(crate) enum Extern {
+    GetProcessor,
+    Fn(ExternFn),
+}
+
+impl Extern {
+    pub(crate) fn call(&self, args: &[Value]) -> Result<ExternResult, EvalError> {
+        match self {
+            Extern::GetProcessor => get_processor(args),
+            Extern::Fn(f) => f(args),
+        }
+    }
+}
+
+impl std::fmt::Debug for Extern {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Extern::GetProcessor => "GetProcessor",
+            Extern::Fn(_) => "Fn",
+        })
+    }
+}
+
 /// Registry of extern functions callable from model source.
 #[derive(Clone, Default)]
 pub struct Externs {
-    fns: HashMap<String, ExternFn>,
+    fns: HashMap<String, Extern>,
 }
 
 impl std::fmt::Debug for Externs {
@@ -50,23 +80,18 @@ impl Externs {
     /// [`get_processor`] under the name `GetProcessor`.
     pub fn with_builtins() -> Self {
         let mut e = Externs::new();
-        e.register("GetProcessor", Arc::new(get_processor));
+        e.fns.insert("GetProcessor".into(), Extern::GetProcessor);
         e
     }
 
     /// Registers (or replaces) a function.
     pub fn register(&mut self, name: impl Into<String>, f: ExternFn) {
-        self.fns.insert(name.into(), f);
+        self.fns.insert(name.into(), Extern::Fn(f));
     }
 
-    /// Looks a function up.
-    ///
-    /// # Errors
-    /// [`EvalError::Undefined`] if absent.
-    pub fn get(&self, name: &str) -> Result<&ExternFn, EvalError> {
-        self.fns
-            .get(name)
-            .ok_or_else(|| EvalError::Undefined(format!("extern function {name}")))
+    /// The entry registered under `name`.
+    pub(crate) fn resolve(&self, name: &str) -> Option<Extern> {
+        self.fns.get(name).cloned()
     }
 }
 
@@ -82,42 +107,18 @@ impl Externs {
 /// [`EvalError::ExternError`] on wrong arity/shape or coordinates outside
 /// the generalised block.
 pub fn get_processor(args: &[Value]) -> Result<ExternResult, EvalError> {
-    let fail = |message: String| EvalError::ExternError {
-        name: "GetProcessor".into(),
-        message,
-    };
     if args.len() != 6 {
-        return Err(fail(format!("expected 6 arguments, got {}", args.len())));
+        return Err(EvalError::ExternError {
+            name: "GetProcessor".into(),
+            message: format!("expected 6 arguments, got {}", args.len()),
+        });
     }
     let row = args[0].as_int()?;
     let col = args[1].as_int()?;
     let m = args[2].as_int()?;
     let h = args[3].as_array()?;
     let w = args[4].as_array()?;
-
-    // Column slice: smallest J with col < sum(w[0..=J]).
-    let mut acc = 0i64;
-    let mut grid_j = None;
-    for j in 0..m {
-        acc += w.get("w", &[j])?;
-        if col < acc {
-            grid_j = Some(j);
-            break;
-        }
-    }
-    let grid_j = grid_j.ok_or_else(|| fail(format!("column {col} beyond the generalised block")))?;
-
-    // Row slice within column grid_j: smallest I with row < sum(h[0..=I][J][..]).
-    let mut acc = 0i64;
-    let mut grid_i = None;
-    for i in 0..m {
-        acc += h.get("h", &[i, grid_j, i, grid_j])?;
-        if row < acc {
-            grid_i = Some(i);
-            break;
-        }
-    }
-    let grid_i = grid_i.ok_or_else(|| fail(format!("row {row} beyond the generalised block")))?;
+    let (grid_i, grid_j) = locate_processor(row, col, m, h, w)?;
 
     let mut fields = std::collections::BTreeMap::new();
     fields.insert("I".to_string(), grid_i);
@@ -131,6 +132,48 @@ pub fn get_processor(args: &[Value]) -> Result<ExternResult, EvalError> {
     })
 }
 
+/// [`get_processor`] on checked operands: the grid coordinates `(I, J)`.
+///
+/// # Errors
+/// As [`get_processor`], after its argument checks.
+pub(crate) fn locate_processor(
+    row: i64,
+    col: i64,
+    m: i64,
+    h: &ArrayVal,
+    w: &ArrayVal,
+) -> Result<(i64, i64), EvalError> {
+    let fail = |message: String| EvalError::ExternError {
+        name: "GetProcessor".into(),
+        message,
+    };
+    // Column slice: smallest J with col < sum(w[0..=J]).
+    let mut acc = 0i64;
+    let mut grid_j = None;
+    for j in 0..m {
+        acc += w.get("w", &[j])?;
+        if col < acc {
+            grid_j = Some(j);
+            break;
+        }
+    }
+    let grid_j =
+        grid_j.ok_or_else(|| fail(format!("column {col} beyond the generalised block")))?;
+
+    // Row slice within column grid_j: smallest I with row < sum(h[0..=I][J][..]).
+    let mut acc = 0i64;
+    let mut grid_i = None;
+    for i in 0..m {
+        acc += h.get("h", &[i, grid_j, i, grid_j])?;
+        if row < acc {
+            grid_i = Some(i);
+            break;
+        }
+    }
+    let grid_i = grid_i.ok_or_else(|| fail(format!("row {row} beyond the generalised block")))?;
+    Ok((grid_i, grid_j))
+}
+
 /// C byte size of a named type (`sizeof(double)` in Figure 4/7).
 ///
 /// # Errors
@@ -141,199 +184,40 @@ pub fn sizeof(ty: &str) -> Result<i64, EvalError> {
         "short" => Ok(2),
         "int" | "float" => Ok(4),
         "long" | "double" => Ok(8),
-        other => Err(EvalError::TypeError(format!("sizeof unknown type `{other}`"))),
+        other => Err(EvalError::TypeError(format!(
+            "sizeof unknown type `{other}`"
+        ))),
     }
 }
 
-/// Evaluates an expression as a general [`Value`] (needed for extern-call
-/// arguments which may be arrays or structs).
-///
-/// # Errors
-/// Any [`EvalError`] raised by sub-evaluation.
-pub fn eval_value(env: &Env, externs: &Externs, e: &Expr) -> Result<Value, EvalError> {
-    match e {
-        Expr::Var(name) => Ok(env.get(name)?.clone()),
-        Expr::Member(base, field) => {
-            let base = eval_value(env, externs, base)?;
-            let s = base.as_struct()?;
-            s.fields
-                .get(field)
-                .copied()
-                .map(Value::Int)
-                .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
-        }
-        Expr::Index(..) => Ok(Value::Int(eval_int(env, externs, e)?)),
-        _ => Ok(Value::Int(eval_int(env, externs, e)?)),
-    }
-}
-
-/// Integer-context evaluation (guards, indices, loop control). C semantics:
-/// truncating division, comparisons yield 0/1, `&&`/`||` short-circuit over
-/// zero/nonzero.
+/// Evaluates a standalone expression in integer context (guards, indices,
+/// loop control: C semantics, truncating division, comparisons yield 0/1,
+/// `&&`/`||` short-circuit over zero/nonzero) against named bindings, the
+/// way a model evaluates it: lowered once, then run over a frame. No
+/// extern function is registered.
 ///
 /// # Errors
 /// [`EvalError::DivisionByZero`], [`EvalError::Undefined`],
 /// [`EvalError::TypeError`], [`EvalError::IndexOutOfBounds`].
-pub fn eval_int(env: &Env, externs: &Externs, e: &Expr) -> Result<i64, EvalError> {
-    match e {
-        Expr::Int(n) => Ok(*n),
-        Expr::Var(name) => env.get(name)?.as_int(),
-        Expr::SizeOf(ty) => sizeof(ty),
-        Expr::Member(base, field) => {
-            let v = eval_value(env, externs, base)?;
-            let s = v.as_struct()?;
-            s.fields
-                .get(field)
-                .copied()
-                .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
-        }
-        Expr::Index(..) => {
-            let (name, idx) = collect_index_chain(env, externs, e)?;
-            let arr = env.get(&name)?.as_array()?.clone();
-            arr.get(&name, &idx)
-        }
-        Expr::Unary(UnOp::Neg, x) => Ok(-eval_int(env, externs, x)?),
-        Expr::Unary(UnOp::Not, x) => Ok(i64::from(eval_int(env, externs, x)? == 0)),
-        Expr::Binary(op, a, b) => {
-            match op {
-                BinOp::And => {
-                    return Ok(if eval_int(env, externs, a)? != 0 {
-                        i64::from(eval_int(env, externs, b)? != 0)
-                    } else {
-                        0
-                    })
-                }
-                BinOp::Or => {
-                    return Ok(if eval_int(env, externs, a)? != 0 {
-                        1
-                    } else {
-                        i64::from(eval_int(env, externs, b)? != 0)
-                    })
-                }
-                _ => {}
-            }
-            let x = eval_int(env, externs, a)?;
-            let y = eval_int(env, externs, b)?;
-            Ok(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x / y
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x % y
-                }
-                BinOp::Eq => i64::from(x == y),
-                BinOp::Ne => i64::from(x != y),
-                BinOp::Lt => i64::from(x < y),
-                BinOp::Gt => i64::from(x > y),
-                BinOp::Le => i64::from(x <= y),
-                BinOp::Ge => i64::from(x >= y),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            })
-        }
-        Expr::Call(name, args) => {
-            let f = externs.get(name)?;
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_value(env, externs, a))
-                .collect::<Result<_, _>>()?;
-            let res = f(&vals)?;
-            res.ret
-                .ok_or_else(|| EvalError::ExternError {
-                    name: name.clone(),
-                    message: "used in expression position but returned no value".into(),
-                })?
-                .as_int()
-        }
-    }
+pub fn eval_int(e: &Expr, bindings: &[(&str, Value)]) -> Result<i64, EvalError> {
+    Lowered::standalone(e, bindings, |ex, e| ex.int(e))
 }
 
-/// Numeric-context evaluation (volumes and percentages): everything promotes
-/// to `f64`, `/` is true division.
+/// Evaluates a standalone expression in number context (volumes and
+/// percentages: everything promotes to `f64`, `/` is true division), as
+/// [`eval_int`] does in integer context.
 ///
 /// # Errors
 /// As [`eval_int`]; division by (exact) zero is reported rather than
 /// producing infinity.
-pub fn eval_num(env: &Env, externs: &Externs, e: &Expr) -> Result<f64, EvalError> {
-    match e {
-        Expr::Int(n) => Ok(*n as f64),
-        Expr::Var(_) | Expr::Member(..) | Expr::Index(..) | Expr::SizeOf(_) | Expr::Call(..) => {
-            Ok(eval_int(env, externs, e)? as f64)
-        }
-        Expr::Unary(UnOp::Neg, x) => Ok(-eval_num(env, externs, x)?),
-        Expr::Unary(UnOp::Not, x) => Ok(f64::from(eval_num(env, externs, x)? == 0.0)),
-        Expr::Binary(op, a, b) => {
-            let x = eval_num(env, externs, a)?;
-            let y = eval_num(env, externs, b)?;
-            Ok(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => {
-                    if y == 0.0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x / y
-                }
-                BinOp::Rem => {
-                    if y == 0.0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    x % y
-                }
-                BinOp::Eq => f64::from(x == y),
-                BinOp::Ne => f64::from(x != y),
-                BinOp::Lt => f64::from(x < y),
-                BinOp::Gt => f64::from(x > y),
-                BinOp::Le => f64::from(x <= y),
-                BinOp::Ge => f64::from(x >= y),
-                BinOp::And => f64::from(x != 0.0 && y != 0.0),
-                BinOp::Or => f64::from(x != 0.0 || y != 0.0),
-            })
-        }
-    }
-}
-
-/// Peels an `Expr::Index` chain down to `(array name, index vector)`.
-fn collect_index_chain(
-    env: &Env,
-    externs: &Externs,
-    e: &Expr,
-) -> Result<(String, Vec<i64>), EvalError> {
-    let mut indices = Vec::new();
-    let mut cur = e;
-    loop {
-        match cur {
-            Expr::Index(base, idx) => {
-                indices.push(eval_int(env, externs, idx)?);
-                cur = base;
-            }
-            Expr::Var(name) => {
-                indices.reverse();
-                return Ok((name.clone(), indices));
-            }
-            other => {
-                return Err(EvalError::TypeError(format!(
-                    "cannot index into {other:?}"
-                )))
-            }
-        }
-    }
+pub fn eval_num(e: &Expr, bindings: &[(&str, Value)]) -> Result<f64, EvalError> {
+    Lowered::standalone(e, bindings, |ex, e| ex.num(e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use crate::value::ArrayVal;
 
     fn expr(src: &str) -> Expr {
         // Wrap in a minimal algorithm so we can reuse the real parser.
@@ -344,66 +228,57 @@ mod tests {
         prog.algorithms[0].node_rules[0].volume.clone()
     }
 
-    fn env_with(vars: &[(&str, i64)]) -> Env {
-        let mut env = Env::new();
-        for (n, v) in vars {
-            env.declare(*n, Value::Int(*v));
-        }
-        env
+    fn env_with(vars: &[(&'static str, i64)]) -> Vec<(&'static str, Value)> {
+        vars.iter().map(|&(n, v)| (n, Value::Int(v))).collect()
     }
 
     #[test]
     fn int_arithmetic_is_c_like() {
         let env = env_with(&[("k", 7), ("l", 3)]);
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("k/l")).unwrap(), 2);
-        assert_eq!(eval_int(&env, &ex, &expr("k%l")).unwrap(), 1);
-        assert_eq!(eval_int(&env, &ex, &expr("-k+1")).unwrap(), -6);
+        assert_eq!(eval_int(&expr("k/l"), &env).unwrap(), 2);
+        assert_eq!(eval_int(&expr("k%l"), &env).unwrap(), 1);
+        assert_eq!(eval_int(&expr("-k+1"), &env).unwrap(), -6);
     }
 
     #[test]
     fn num_division_is_true_division() {
         let env = env_with(&[("n", 200)]);
-        let ex = Externs::new();
-        let v = eval_num(&env, &ex, &expr("100/n")).unwrap();
+        let v = eval_num(&expr("100/n"), &env).unwrap();
         assert!((v - 0.5).abs() < 1e-12);
         // The same expression in int context is zero: the exact trap the
         // crate-level semantics note documents.
-        assert_eq!(eval_int(&env, &ex, &expr("100/n")).unwrap(), 0);
+        assert_eq!(eval_int(&expr("100/n"), &env).unwrap(), 0);
     }
 
     #[test]
     fn comparisons_and_logic() {
         let env = env_with(&[("I", 2), ("L", 2)]);
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 && I!=L")).unwrap(), 0);
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 || I!=L")).unwrap(), 1);
-        assert_eq!(eval_int(&env, &ex, &expr("!(I==L)")).unwrap(), 0);
+        assert_eq!(eval_int(&expr("I>=0 && I!=L"), &env).unwrap(), 0);
+        assert_eq!(eval_int(&expr("I>=0 || I!=L"), &env).unwrap(), 1);
+        assert_eq!(eval_int(&expr("!(I==L)"), &env).unwrap(), 0);
     }
 
     #[test]
     fn short_circuit_protects_rhs() {
         // I != 0 && d[I] > 0 with I = -1 must not index d.
         let mut env = env_with(&[("I", -1)]);
-        env.declare(
+        env.push((
             "d",
             Value::Array(ArrayVal::new(vec![2], vec![5, 6]).unwrap()),
-        );
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("I>=0 && d[I]>0")).unwrap(), 0);
+        ));
+        assert_eq!(eval_int(&expr("I>=0 && d[I]>0"), &env).unwrap(), 0);
     }
 
     #[test]
     fn array_indexing_multi_dim() {
         let mut env = env_with(&[("I", 1), ("L", 0)]);
-        env.declare(
+        env.push((
             "dep",
             Value::Array(ArrayVal::new(vec![2, 2], vec![0, 1, 2, 3]).unwrap()),
-        );
-        let ex = Externs::new();
-        assert_eq!(eval_int(&env, &ex, &expr("dep[I][L]")).unwrap(), 2);
+        ));
+        assert_eq!(eval_int(&expr("dep[I][L]"), &env).unwrap(), 2);
         assert_eq!(
-            eval_num(&env, &ex, &expr("dep[I][L]*sizeof(double)")).unwrap(),
+            eval_num(&expr("dep[I][L]*sizeof(double)"), &env).unwrap(),
             16.0
         );
     }
@@ -411,15 +286,8 @@ mod tests {
     #[test]
     fn division_by_zero_reported() {
         let env = env_with(&[("z", 0)]);
-        let ex = Externs::new();
-        assert_eq!(
-            eval_int(&env, &ex, &expr("1/z")),
-            Err(EvalError::DivisionByZero)
-        );
-        assert_eq!(
-            eval_num(&env, &ex, &expr("1/z")),
-            Err(EvalError::DivisionByZero)
-        );
+        assert_eq!(eval_int(&expr("1/z"), &env), Err(EvalError::DivisionByZero));
+        assert_eq!(eval_num(&expr("1/z"), &env), Err(EvalError::DivisionByZero));
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //! This crate is that pipeline, reimplemented in Rust:
 //!
 //! * [`lexer`] / [`parser`] — turn model source (the paper's Figures 4 and 7
-//!   parse verbatim) into an AST;
+//!   parse verbatim) into an AST, which compilation lowers once into a
+//!   slot-resolved form (names bound to frame slots, array subscripts to
+//!   strides, extern calls to a callee table);
 //! * [`model::CompiledModel`] — the "set of functions": bind parameters with
 //!   [`model::CompiledModel::instantiate`] to obtain a
 //!   [`model::ModelInstance`] exposing per-processor computation volumes
 //!   ([`model::PerformanceModel::volumes`]), pairwise communication volumes
 //!   ([`model::PerformanceModel::comm_bytes`]), the parent, and a replayable
 //!   interaction pattern ([`model::PerformanceModel::run_scheme`]);
-//! * [`scheme`] — the `scheme { ... }` interpreter. Activities
+//! * [`scheme`] — what running a `scheme { ... }` section produces. Activities
 //!   (`e %% [i]` computations and `e %% [i] -> [j]` transfers) are emitted to
 //!   a [`scheme::SchemeSink`]; `par` algorithmic patterns fork virtual time.
 //!   [`scheme::TimelineSink`] turns the pattern into a predicted execution
@@ -51,11 +53,11 @@ pub mod ast;
 pub mod builder;
 pub mod collective;
 pub mod compile;
-pub mod env;
 pub mod error;
 pub mod eval;
 pub mod hier;
 pub mod lexer;
+mod lower;
 pub mod model;
 pub mod parser;
 pub mod pretty;

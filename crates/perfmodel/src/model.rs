@@ -9,14 +9,13 @@
 //! per-processor computation volumes, pairwise communication volumes, the
 //! parent, and the replayable interaction scheme.
 
-use crate::ast::{AlgorithmDef, Program};
-use crate::env::Env;
+use crate::ast::Program;
 use crate::error::{EvalError, ParseError};
-use crate::eval::{eval_int, eval_num, Externs};
+use crate::eval::{Extern, Externs};
+use crate::lower::{Exec, Lowered, ParamSlot};
 use crate::parser::parse_program;
-use crate::scheme::{run_scheme, CostModel, SchemeSink, TimelineSink};
-use crate::value::{ArrayVal, Value};
-use std::collections::HashMap;
+use crate::scheme::{CostModel, SchemeSink, TimelineSink};
+use crate::value::ArrayVal;
 use std::sync::Arc;
 
 /// An actual parameter supplied at instantiation.
@@ -108,8 +107,7 @@ pub trait PerformanceModel: Send + Sync {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
-    algorithm: Arc<AlgorithmDef>,
-    structs: Arc<HashMap<String, Vec<String>>>,
+    code: Arc<Lowered>,
     externs: Externs,
 }
 
@@ -130,38 +128,31 @@ impl CompiledModel {
     /// [`ParseError`] if the algorithm is missing.
     pub fn compile_named(src: &str, name: Option<&str>) -> Result<CompiledModel, ParseError> {
         let program: Program = parse_program(src)?;
-        let structs: HashMap<String, Vec<String>> = program
-            .typedefs
-            .iter()
-            .map(|t| (t.name.clone(), t.fields.clone()))
-            .collect();
         let algorithm = match name {
             None => program
                 .algorithms
-                .into_iter()
-                .next()
+                .first()
                 .ok_or_else(|| ParseError::new("source defines no algorithm", 1, 1))?,
             Some(n) => program
                 .algorithms
-                .into_iter()
+                .iter()
                 .find(|a| a.name == n)
                 .ok_or_else(|| ParseError::new(format!("no algorithm named `{n}`"), 1, 1))?,
         };
         Ok(CompiledModel {
-            algorithm: Arc::new(algorithm),
-            structs: Arc::new(structs),
+            code: Arc::new(Lowered::new(algorithm, &program.typedefs)),
             externs: Externs::with_builtins(),
         })
     }
 
     /// The model's name.
     pub fn name(&self) -> &str {
-        &self.algorithm.name
+        &self.code.name
     }
 
     /// Formal parameter names, in order.
     pub fn param_names(&self) -> Vec<&str> {
-        self.algorithm.params.iter().map(|p| p.name.as_str()).collect()
+        self.code.params.iter().map(|p| p.name.as_str()).collect()
     }
 
     /// Replaces the extern-function registry (to provide custom functions to
@@ -178,27 +169,28 @@ impl CompiledModel {
     /// [`EvalError::BadParameters`] on arity/shape mismatches; other
     /// [`EvalError`]s from section evaluation.
     pub fn instantiate(&self, params: &[ParamValue]) -> Result<ModelInstance, EvalError> {
-        let alg = &self.algorithm;
-        if params.len() != alg.params.len() {
+        let code = &*self.code;
+        if params.len() != code.params.len() {
             return Err(EvalError::BadParameters(format!(
                 "model `{}` takes {} parameters, got {}",
-                alg.name,
-                alg.params.len(),
+                code.name,
+                code.params.len(),
                 params.len()
             )));
         }
+        let externs = code.resolve(&self.externs);
 
         // Bind parameters left-to-right; array dims may reference earlier
         // parameters (e.g. `int d[p]` after `int p`).
-        let mut env = Env::new();
-        let mut bindings: Vec<(String, Value)> = Vec::with_capacity(params.len());
-        for (decl, actual) in alg.params.iter().zip(params) {
-            let value = match (&decl.dims.is_empty(), actual) {
-                (true, ParamValue::Int(v)) => Value::Int(*v),
-                (false, ParamValue::Array(data)) => {
-                    let mut dims = Vec::with_capacity(decl.dims.len());
-                    for d in &decl.dims {
-                        let extent = eval_int(&env, &self.externs, d)?;
+        let mut frame = vec![0i64; code.frame_len];
+        let mut arrays = Vec::new();
+        for (decl, actual) in code.params.iter().zip(params) {
+            match (&decl.slot, actual) {
+                (ParamSlot::Int(slot), ParamValue::Int(v)) => frame[*slot] = *v,
+                (ParamSlot::Array(dim_exprs), ParamValue::Array(data)) => {
+                    let mut dims = Vec::with_capacity(dim_exprs.len());
+                    for d in dim_exprs {
+                        let extent = Exec::new(code, &arrays, &externs, &[], &mut frame).int(d)?;
                         if extent <= 0 {
                             return Err(EvalError::BadParameters(format!(
                                 "dimension of `{}` evaluated to {extent}",
@@ -207,84 +199,55 @@ impl CompiledModel {
                         }
                         dims.push(extent as usize);
                     }
-                    Value::Array(ArrayVal::new(dims, data.clone())?)
+                    arrays.push(ArrayVal::new(dims, data.clone())?);
                 }
-                (true, ParamValue::Array(_)) => {
+                (ParamSlot::Int(_), ParamValue::Array(_)) => {
                     return Err(EvalError::BadParameters(format!(
                         "parameter `{}` is scalar but an array was supplied",
                         decl.name
                     )))
                 }
-                (false, ParamValue::Int(_)) => {
+                (ParamSlot::Array(_), ParamValue::Int(_)) => {
                     return Err(EvalError::BadParameters(format!(
                         "parameter `{}` is an array but a scalar was supplied",
                         decl.name
                     )))
                 }
-            };
-            env.declare(decl.name.clone(), value.clone());
-            bindings.push((decl.name.clone(), value));
-        }
-
-        // Coordinate space.
-        let mut extents = Vec::with_capacity(alg.coords.len());
-        for (cname, e) in &alg.coords {
-            let extent = eval_int(&env, &self.externs, e)?;
-            if extent <= 0 {
-                return Err(EvalError::BadParameters(format!(
-                    "coordinate `{cname}` has non-positive extent {extent}"
-                )));
             }
-            extents.push(extent as usize);
         }
+        // The scheme starts from the bound parameters, everything else zero.
+        let scheme_frame = frame.clone();
+
+        let extents = Exec::new(code, &arrays, &externs, &[], &mut frame)
+            .extents(&code.coords, "coordinate")?;
         let n: usize = extents.iter().product();
+        let mut ex = Exec::new(code, &arrays, &externs, &extents, &mut frame);
 
         // Node volumes: for each processor, the first matching rule.
         let mut volumes = vec![0.0f64; n];
         for (linear, vol) in volumes.iter_mut().enumerate() {
-            env.push();
-            bind_coords(&mut env, &alg.coords, &extents, linear);
-            for rule in &alg.node_rules {
-                if eval_int(&env, &self.externs, &rule.guard)? != 0 {
-                    *vol = eval_num(&env, &self.externs, &rule.volume)?;
+            ex.bind(&code.coords, &extents, linear);
+            for (guard, volume) in &code.node_rules {
+                if ex.int(guard)? != 0 {
+                    *vol = ex.num(volume)?;
                     break;
                 }
             }
-            env.pop();
         }
 
         // Link volumes: iterate the coordinate space x the binder space.
-        let mut comm = vec![vec![0.0f64; n]; n];
-        let binder_extents: Vec<usize> = {
-            let mut v = Vec::with_capacity(alg.link_binders.len());
-            for (bname, e) in &alg.link_binders {
-                let extent = eval_int(&env, &self.externs, e)?;
-                if extent <= 0 {
-                    return Err(EvalError::BadParameters(format!(
-                        "link binder `{bname}` has non-positive extent {extent}"
-                    )));
-                }
-                v.push(extent as usize);
-            }
-            v
-        };
+        let binder_extents = ex.extents(&code.binders, "link binder")?;
         let binder_total: usize = binder_extents.iter().product::<usize>().max(1);
+        let mut comm = vec![vec![0.0f64; n]; n];
         for linear in 0..n {
+            ex.bind(&code.coords, &extents, linear);
             for bflat in 0..binder_total {
-                env.push();
-                bind_coords(&mut env, &alg.coords, &extents, linear);
-                // Unflatten the binder tuple (row-major like coordinates).
-                let mut rem = bflat;
-                for (i, (bname, _)) in alg.link_binders.iter().enumerate().rev() {
-                    let extent = binder_extents[i];
-                    env.declare(bname.clone(), Value::Int((rem % extent) as i64));
-                    rem /= extent;
-                }
-                for rule in &alg.link_rules {
-                    if eval_int(&env, &self.externs, &rule.guard)? != 0 {
-                        let src = linearise(&env, &self.externs, &rule.src, &extents)?;
-                        let dst = linearise(&env, &self.externs, &rule.dst, &extents)?;
-                        let vol = eval_num(&env, &self.externs, &rule.volume)?;
+                ex.bind(&code.binders, &binder_extents, bflat);
+                for rule in &code.link_rules {
+                    if ex.int(&rule.guard)? != 0 {
+                        let src = ex.processor(&rule.src)?;
+                        let dst = ex.processor(&rule.dst)?;
+                        let vol = ex.num(&rule.volume)?;
                         // Link rules *define* pair volumes (a rule not
                         // mentioning some binder matches once per binding of
                         // it); assignment rather than accumulation keeps
@@ -292,23 +255,21 @@ impl CompiledModel {
                         comm[src][dst] = vol;
                     }
                 }
-                env.pop();
             }
         }
 
         // Parent.
-        let parent = if alg.parent.is_empty() {
+        let parent = if code.parent.is_empty() {
             0
         } else {
-            linearise(&env, &self.externs, &alg.parent, &extents)?
+            ex.processor(&code.parent)?
         };
 
         Ok(ModelInstance {
-            name: alg.name.clone(),
-            algorithm: self.algorithm.clone(),
-            structs: self.structs.clone(),
-            externs: self.externs.clone(),
-            bindings,
+            code: self.code.clone(),
+            externs,
+            arrays,
+            frame: scheme_frame,
             extents,
             volumes,
             comm,
@@ -317,53 +278,15 @@ impl CompiledModel {
     }
 }
 
-fn bind_coords(env: &mut Env, coords: &[(String, crate::ast::Expr)], extents: &[usize], linear: usize) {
-    let mut rem = linear;
-    let mut vals = vec![0i64; coords.len()];
-    for i in (0..coords.len()).rev() {
-        vals[i] = (rem % extents[i]) as i64;
-        rem /= extents[i];
-    }
-    for ((name, _), v) in coords.iter().zip(vals) {
-        env.declare(name.clone(), Value::Int(v));
-    }
-}
-
-fn linearise(
-    env: &Env,
-    externs: &Externs,
-    coords: &[crate::ast::Expr],
-    extents: &[usize],
-) -> Result<usize, EvalError> {
-    if coords.len() != extents.len() {
-        return Err(EvalError::BadProcessor(format!(
-            "{} coordinates given, {} expected",
-            coords.len(),
-            extents.len()
-        )));
-    }
-    let mut linear = 0usize;
-    for (e, &extent) in coords.iter().zip(extents) {
-        let c = eval_int(env, externs, e)?;
-        if c < 0 || c as usize >= extent {
-            return Err(EvalError::BadProcessor(format!(
-                "coordinate {c} outside 0..{extent}"
-            )));
-        }
-        linear = linear * extent + c as usize;
-    }
-    Ok(linear)
-}
-
 /// A model with bound parameters — the algorithm-specific part of the HMPI
 /// runtime system.
 #[derive(Debug, Clone)]
 pub struct ModelInstance {
-    name: String,
-    algorithm: Arc<AlgorithmDef>,
-    structs: Arc<HashMap<String, Vec<String>>>,
-    externs: Externs,
-    bindings: Vec<(String, Value)>,
+    code: Arc<Lowered>,
+    externs: Vec<Option<Extern>>,
+    arrays: Vec<ArrayVal>,
+    /// The scheme's initial frame: bound scalar parameters, zeros elsewhere.
+    frame: Vec<i64>,
     extents: Vec<usize>,
     volumes: Vec<f64>,
     comm: Vec<Vec<f64>>,
@@ -405,7 +328,7 @@ impl ModelInstance {
 
 impl PerformanceModel for ModelInstance {
     fn name(&self) -> &str {
-        &self.name
+        &self.code.name
     }
 
     fn num_processors(&self) -> usize {
@@ -425,16 +348,7 @@ impl PerformanceModel for ModelInstance {
     }
 
     fn run_scheme(&self, sink: &mut dyn SchemeSink) -> Result<(), EvalError> {
-        let mut env = Env::new();
-        for (name, value) in &self.bindings {
-            env.declare(name.clone(), value.clone());
-        }
-        // Coordinate variables are in scope (initialised to 0) so schemes may
-        // reuse them as loop variables.
-        for (cname, _) in &self.algorithm.coords {
-            env.declare(cname.clone(), Value::Int(0));
-        }
-        if self.algorithm.scheme.is_empty() {
+        if !self.code.has_scheme() {
             // Default pattern: all transfers in parallel, then all
             // computations in parallel (one step of a bulk-synchronous
             // algorithm).
@@ -456,14 +370,15 @@ impl PerformanceModel for ModelInstance {
             sink.par_end();
             return Ok(());
         }
-        run_scheme(
-            &self.algorithm.scheme,
-            &mut env,
+        let mut frame = self.frame.clone();
+        Exec::new(
+            &self.code,
+            &self.arrays,
             &self.externs,
-            &self.structs,
             &self.extents,
-            sink,
+            &mut frame,
         )
+        .run_scheme(sink)
     }
 }
 

@@ -1,7 +1,8 @@
-//! The `scheme { ... }` interpreter.
+//! Scheme activity streams and the sinks that consume them.
 //!
 //! A scheme describes "how exactly the processes interact during the
-//! execution of the algorithm". Interpreting it produces a stream of
+//! execution of the algorithm". Running it
+//! ([`crate::model::PerformanceModel::run_scheme`]) produces a stream of
 //! *activities* — `e %% [i]` computations and `e %% [i] -> [j]` transfers —
 //! structured by `par` blocks whose activities overlap in time. The stream
 //! is delivered to a [`SchemeSink`]:
@@ -18,14 +19,7 @@
 //! iterations — "data transfer between different pairs of processors is
 //! carried out in parallel".
 
-use crate::ast::{AssignOp, CallArg, Expr, LValue, Stmt};
-use crate::env::Env;
-use crate::error::EvalError;
-use crate::eval::{eval_int, eval_num, eval_value, Externs};
-use crate::value::{StructVal, Value};
-use std::collections::HashMap;
-
-/// Safety cap on total loop iterations while interpreting one scheme.
+/// Safety cap on total loop iterations while running one scheme.
 pub const ITERATION_LIMIT: u64 = 200_000_000;
 
 /// Receives the activity stream of a scheme.
@@ -215,310 +209,18 @@ impl SchemeSink for TimelineSink {
     }
 }
 
-/// Interprets a scheme body, feeding activities to `sink`.
-///
-/// `extents` is the coordinate space (from the `coord` declaration); activity
-/// coordinates are linearised row-major against it.
-///
-/// # Errors
-/// Any [`EvalError`] from expression evaluation, plus
-/// [`EvalError::IterationLimit`] if loops run away and
-/// [`EvalError::BadProcessor`] for activities outside the coordinate space.
-pub fn run_scheme(
-    stmts: &[Stmt],
-    env: &mut Env,
-    externs: &Externs,
-    structs: &HashMap<String, Vec<String>>,
-    extents: &[usize],
-    sink: &mut dyn SchemeSink,
-) -> Result<(), EvalError> {
-    let mut interp = Interp {
-        externs,
-        structs,
-        extents,
-        iterations: 0,
-    };
-    env.push();
-    let result = stmts.iter().try_for_each(|s| interp.exec(env, s, sink));
-    env.pop();
-    result
-}
-
-struct Interp<'a> {
-    externs: &'a Externs,
-    structs: &'a HashMap<String, Vec<String>>,
-    extents: &'a [usize],
-    iterations: u64,
-}
-
-impl Interp<'_> {
-    fn tick(&mut self) -> Result<(), EvalError> {
-        self.iterations += 1;
-        if self.iterations > ITERATION_LIMIT {
-            return Err(EvalError::IterationLimit(ITERATION_LIMIT));
-        }
-        Ok(())
-    }
-
-    fn linearise(&self, env: &Env, coords: &[Expr]) -> Result<usize, EvalError> {
-        if coords.len() != self.extents.len() {
-            return Err(EvalError::BadProcessor(format!(
-                "activity names {} coordinates but the coordinate space has {}",
-                coords.len(),
-                self.extents.len()
-            )));
-        }
-        let mut linear = 0usize;
-        for (e, &extent) in coords.iter().zip(self.extents) {
-            let c = eval_int(env, self.externs, e)?;
-            if c < 0 || c as usize >= extent {
-                return Err(EvalError::BadProcessor(format!(
-                    "coordinate {c} outside 0..{extent}"
-                )));
-            }
-            linear = linear * extent + c as usize;
-        }
-        Ok(linear)
-    }
-
-    fn read_lvalue(&self, env: &Env, lv: &LValue) -> Result<Value, EvalError> {
-        match lv {
-            LValue::Var(name) => Ok(env.get(name)?.clone()),
-            LValue::Member(name, field) => {
-                let s = env.get(name)?.as_struct()?;
-                s.fields
-                    .get(field)
-                    .copied()
-                    .map(Value::Int)
-                    .ok_or_else(|| EvalError::Undefined(format!("field {field}")))
-            }
-        }
-    }
-
-    fn write_lvalue(&self, env: &mut Env, lv: &LValue, value: Value) -> Result<(), EvalError> {
-        match lv {
-            LValue::Var(name) => env.assign(name, value),
-            LValue::Member(name, field) => {
-                let slot = env.get_mut(name)?;
-                match slot {
-                    Value::Struct(s) => {
-                        let v = value.as_int()?;
-                        *s.fields
-                            .entry(field.clone())
-                            .or_insert(0) = v;
-                        Ok(())
-                    }
-                    other => Err(EvalError::TypeError(format!(
-                        "member assignment into non-struct {other}"
-                    ))),
-                }
-            }
-        }
-    }
-
-    fn exec(
-        &mut self,
-        env: &mut Env,
-        stmt: &Stmt,
-        sink: &mut dyn SchemeSink,
-    ) -> Result<(), EvalError> {
-        match stmt {
-            Stmt::Empty => Ok(()),
-            Stmt::Block(body) => {
-                env.push();
-                let r = body.iter().try_for_each(|s| self.exec(env, s, sink));
-                env.pop();
-                r
-            }
-            Stmt::Decl { ty, vars } => {
-                for (name, init) in vars {
-                    let value = if ty == "int" {
-                        match init {
-                            Some(e) => Value::Int(eval_int(env, self.externs, e)?),
-                            None => Value::Int(0),
-                        }
-                    } else {
-                        let fields = self.structs.get(ty).ok_or_else(|| {
-                            EvalError::TypeError(format!("unknown struct type `{ty}`"))
-                        })?;
-                        if init.is_some() {
-                            return Err(EvalError::TypeError(
-                                "struct declarations cannot take initialisers".into(),
-                            ));
-                        }
-                        Value::Struct(StructVal {
-                            type_name: ty.clone(),
-                            fields: fields.iter().map(|f| (f.clone(), 0)).collect(),
-                        })
-                    };
-                    env.declare(name.clone(), value);
-                }
-                Ok(())
-            }
-            Stmt::Assign { lv, op, rhs } => {
-                let new = match op {
-                    AssignOp::Set => eval_value(env, self.externs, rhs)?,
-                    AssignOp::Add | AssignOp::Sub | AssignOp::Mul => {
-                        let old = self.read_lvalue(env, lv)?.as_int()?;
-                        let r = eval_int(env, self.externs, rhs)?;
-                        Value::Int(match op {
-                            AssignOp::Add => old + r,
-                            AssignOp::Sub => old - r,
-                            AssignOp::Mul => old * r,
-                            AssignOp::Set => unreachable!(),
-                        })
-                    }
-                };
-                self.write_lvalue(env, lv, new)
-            }
-            Stmt::If { cond, then, els } => {
-                if eval_int(env, self.externs, cond)? != 0 {
-                    self.exec(env, then, sink)
-                } else if let Some(e) = els {
-                    self.exec(env, e, sink)
-                } else {
-                    Ok(())
-                }
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.exec(env, i, sink)?;
-                }
-                loop {
-                    match cond {
-                        Some(c) if eval_int(env, self.externs, c)? == 0 => break,
-                        None => {
-                            return Err(EvalError::TypeError(
-                                "for loop without a condition never terminates".into(),
-                            ))
-                        }
-                        _ => {}
-                    }
-                    self.tick()?;
-                    self.exec(env, body, sink)?;
-                    if let Some(s) = step {
-                        self.exec(env, s, sink)?;
-                    }
-                }
-                Ok(())
-            }
-            Stmt::Par {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.exec(env, i, sink)?;
-                }
-                sink.par_begin();
-                let result = (|| -> Result<(), EvalError> {
-                    loop {
-                        match cond {
-                            Some(c) if eval_int(env, self.externs, c)? == 0 => break,
-                            None => {
-                                return Err(EvalError::TypeError(
-                                    "par loop without a condition never terminates".into(),
-                                ))
-                            }
-                            _ => {}
-                        }
-                        self.tick()?;
-                        self.exec(env, body, sink)?;
-                        if let Some(s) = step {
-                            self.exec(env, s, sink)?;
-                        }
-                        sink.par_branch();
-                    }
-                    Ok(())
-                })();
-                sink.par_end();
-                result
-            }
-            Stmt::Compute { percent, proc } => {
-                let pct = eval_num(env, self.externs, percent)?;
-                let p = self.linearise(env, proc)?;
-                sink.compute(p, pct);
-                Ok(())
-            }
-            Stmt::Transfer { percent, src, dst } => {
-                let pct = eval_num(env, self.externs, percent)?;
-                let s = self.linearise(env, src)?;
-                let d = self.linearise(env, dst)?;
-                sink.transfer(s, d, pct);
-                Ok(())
-            }
-            Stmt::CallStmt { name, args } => {
-                let f = self.externs.get(name)?.clone();
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(match a {
-                        CallArg::Value(e) => eval_value(env, self.externs, e)?,
-                        CallArg::OutRef(lv) => self.read_lvalue(env, lv)?,
-                    });
-                }
-                let result = f(&vals)?;
-                let out_refs: Vec<&LValue> = args
-                    .iter()
-                    .filter_map(|a| match a {
-                        CallArg::OutRef(lv) => Some(lv),
-                        CallArg::Value(_) => None,
-                    })
-                    .collect();
-                if out_refs.len() != result.outs.len() {
-                    return Err(EvalError::ExternError {
-                        name: name.clone(),
-                        message: format!(
-                            "returned {} out-values for {} &-arguments",
-                            result.outs.len(),
-                            out_refs.len()
-                        ),
-                    });
-                }
-                for (lv, v) in out_refs.into_iter().zip(result.outs) {
-                    self.write_lvalue(env, lv, v)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program;
+    use crate::error::EvalError;
+    use crate::model::{CompiledModel, ParamValue, PerformanceModel};
 
-    fn scheme_of(src: &str) -> (Vec<Stmt>, Vec<usize>, HashMap<String, Vec<String>>) {
-        let prog = parse_program(src).unwrap();
-        let a = &prog.algorithms[0];
-        let structs = prog
-            .typedefs
-            .iter()
-            .map(|t| (t.name.clone(), t.fields.clone()))
-            .collect();
-        // Coordinates are tests' business: extents resolved by the caller.
-        (a.scheme.clone(), Vec::new(), structs)
-    }
-
-    fn run(
-        src: &str,
-        params: &[(&str, i64)],
-        extents: Vec<usize>,
-    ) -> Result<RecordingSink, EvalError> {
-        let (stmts, _, structs) = scheme_of(src);
-        let mut env = Env::new();
-        for (n, v) in params {
-            env.declare(*n, Value::Int(*v));
-        }
-        let externs = Externs::with_builtins();
+    /// Runs the scheme of `src` with scalar parameters `params`.
+    fn run(src: &str, params: &[i64]) -> Result<RecordingSink, EvalError> {
+        let params: Vec<ParamValue> = params.iter().map(|&v| ParamValue::Int(v)).collect();
+        let inst = CompiledModel::compile(src).unwrap().instantiate(&params)?;
         let mut sink = RecordingSink::default();
-        run_scheme(&stmts, &mut env, &externs, &structs, &extents, &mut sink)?;
+        inst.run_scheme(&mut sink)?;
         Ok(sink)
     }
 
@@ -535,7 +237,7 @@ mod tests {
                 };
             }
         ";
-        let sink = run(src, &[("p", 3)], vec![3]).unwrap();
+        let sink = run(src, &[3]).unwrap();
         assert_eq!(
             sink.events,
             vec![
@@ -572,7 +274,7 @@ mod tests {
                 };
             }
         ";
-        let sink = run(src, &[("m", 3)], vec![3, 3]).unwrap();
+        let sink = run(src, &[3]).unwrap();
         assert_eq!(
             sink.events,
             vec![SchemeEvent::Compute {
@@ -592,7 +294,7 @@ mod tests {
                 scheme { 100%%[p]; };
             }
         ";
-        let err = run(src, &[("p", 2)], vec![2]).unwrap_err();
+        let err = run(src, &[2]).unwrap_err();
         assert!(matches!(err, EvalError::BadProcessor(_)));
     }
 
@@ -606,7 +308,7 @@ mod tests {
                 scheme { (100/n)%%[0]; };
             }
         ";
-        let sink = run(src, &[("n", 400)], vec![1]).unwrap();
+        let sink = run(src, &[400]).unwrap();
         assert_eq!(
             sink.events,
             vec![SchemeEvent::Compute {
@@ -635,7 +337,7 @@ mod tests {
             }
         ";
         // l = 7, step 2 -> iterations at 0,2,4,6 -> 4 branches.
-        let sink = run(src, &[("l", 7)], vec![1]).unwrap();
+        let sink = run(src, &[7]).unwrap();
         let branches = sink
             .events
             .iter()
@@ -659,26 +361,22 @@ mod tests {
                 };
             }
         ";
-        let (stmts, _, structs) = scheme_of(src);
-        let mut env = Env::new();
-        env.declare("m", Value::Int(2));
-        env.declare(
-            "w",
-            Value::Array(crate::value::ArrayVal::new(vec![2], vec![1, 1]).unwrap()),
-        );
         let mut h = vec![0i64; 16];
         let at = |i: usize, j: usize, k: usize, l: usize| ((i * 2 + j) * 2 + k) * 2 + l;
         h[at(0, 0, 0, 0)] = 1;
         h[at(1, 0, 1, 0)] = 1;
         h[at(0, 1, 0, 1)] = 1;
         h[at(1, 1, 1, 1)] = 1;
-        env.declare(
-            "h",
-            Value::Array(crate::value::ArrayVal::new(vec![2, 2, 2, 2], h).unwrap()),
-        );
-        let externs = Externs::with_builtins();
+        let inst = CompiledModel::compile(src)
+            .unwrap()
+            .instantiate(&[
+                ParamValue::Int(2),
+                ParamValue::Array(vec![1, 1]),
+                ParamValue::Array(h),
+            ])
+            .unwrap();
         let mut sink = RecordingSink::default();
-        run_scheme(&stmts, &mut env, &externs, &structs, &[2, 2], &mut sink).unwrap();
+        inst.run_scheme(&mut sink).unwrap();
         // Block (0,1) belongs to grid processor (0,1) -> linear index 1.
         assert_eq!(
             sink.events,
@@ -725,7 +423,7 @@ mod tests {
 
     #[test]
     fn for_loop_without_condition_is_rejected() {
-        // `for (;;)` would never terminate; the interpreter refuses it
+        // `for (;;)` would never terminate; the scheme is refused
         // instead of hitting the iteration cap.
         let src = r"
             algorithm T(int p) {
@@ -738,7 +436,7 @@ mod tests {
                 };
             }
         ";
-        let err = run(src, &[("p", 1)], vec![1]).unwrap_err();
+        let err = run(src, &[1]).unwrap_err();
         assert!(matches!(err, EvalError::TypeError(_)));
     }
 

@@ -1,10 +1,10 @@
 //! Property tests for the parser/pretty-printer pair: for any expression
 //! the generator can produce, `parse(print(e))` must yield an AST that both
-//! round-trips structurally and evaluates to the same value.
+//! round-trips structurally and evaluates to the same value through the
+//! lowered form models run.
 
 use perfmodel::ast::{BinOp, Expr, UnOp};
-use perfmodel::env::Env;
-use perfmodel::eval::{eval_int, eval_num, Externs};
+use perfmodel::eval::{eval_int, eval_num};
 use perfmodel::value::{ArrayVal, Value};
 use perfmodel::{parse_program, pretty};
 use proptest::prelude::*;
@@ -19,10 +19,8 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
         Just(Expr::Var("b".into())),
         Just(Expr::Var("I".into())),
         Just(Expr::SizeOf("double".into())),
-        (0i64..4).prop_map(|i| Expr::Index(
-            Box::new(Expr::Var("d".into())),
-            Box::new(Expr::Int(i))
-        )),
+        (0i64..4)
+            .prop_map(|i| Expr::Index(Box::new(Expr::Var("d".into())), Box::new(Expr::Int(i)))),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
@@ -50,16 +48,16 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
-fn env() -> Env {
-    let mut env = Env::new();
-    env.declare("a", Value::Int(7));
-    env.declare("b", Value::Int(3));
-    env.declare("I", Value::Int(2));
-    env.declare(
-        "d",
-        Value::Array(ArrayVal::new(vec![4], vec![10, 20, 30, 40]).unwrap()),
-    );
-    env
+fn env() -> Vec<(&'static str, Value)> {
+    vec![
+        ("a", Value::Int(7)),
+        ("b", Value::Int(3)),
+        ("I", Value::Int(2)),
+        (
+            "d",
+            Value::Array(ArrayVal::new(vec![4], vec![10, 20, 30, 40]).unwrap()),
+        ),
+    ]
 }
 
 /// Embeds an expression (as printed source) into a minimal algorithm and
@@ -68,7 +66,8 @@ fn reparse(printed: &str) -> Expr {
     let src = format!(
         "algorithm T(int a, int b, int d[4]) {{ coord I=4; node {{I>=0: bench*({printed});}}; parent[0]; scheme {{;}}; }}"
     );
-    let prog = parse_program(&src).unwrap_or_else(|e| panic!("printed `{printed}` fails to parse: {e}"));
+    let prog =
+        parse_program(&src).unwrap_or_else(|e| panic!("printed `{printed}` fails to parse: {e}"));
     prog.algorithms[0].node_rules[0].volume.clone()
 }
 
@@ -87,14 +86,13 @@ proptest! {
         let printed = pretty::print_expr(&e);
         let back = reparse(&printed);
         let env = env();
-        let ex = Externs::new();
         // Integer context.
-        let v1 = eval_int(&env, &ex, &e);
-        let v2 = eval_int(&env, &ex, &back);
+        let v1 = eval_int(&e, &env);
+        let v2 = eval_int(&back, &env);
         prop_assert_eq!(&v1, &v2, "int eval of `{}`", printed);
         // Numeric context.
-        let n1 = eval_num(&env, &ex, &e);
-        let n2 = eval_num(&env, &ex, &back);
+        let n1 = eval_num(&e, &env);
+        let n2 = eval_num(&back, &env);
         match (n1, n2) {
             (Ok(x), Ok(y)) => prop_assert!(
                 (x - y).abs() < 1e-9 || (x.is_nan() && y.is_nan()),
@@ -125,8 +123,7 @@ proptest! {
         // Without division/modulo, the int and float evaluators must agree
         // exactly (all values stay integral).
         let env = env();
-        let ex = Externs::new();
-        if let (Ok(i), Ok(n)) = (eval_int(&env, &ex, &e), eval_num(&env, &ex, &e)) {
+        if let (Ok(i), Ok(n)) = (eval_int(&e, &env), eval_num(&e, &env)) {
             prop_assert_eq!(i as f64, n);
         }
     }
