@@ -301,44 +301,6 @@ impl HmpiRuntime {
         }
     }
 
-    /// A runtime with explicit rank placement.
-    #[deprecated(since = "0.9.0", note = "use HmpiRuntime::with_config(cluster, \
-                                          RuntimeConfig::new().placement(placement))")]
-    pub fn with_placement(cluster: Arc<Cluster>, placement: Vec<NodeId>) -> Self {
-        HmpiRuntime::with_config(cluster, RuntimeConfig::new().placement(placement))
-    }
-
-    /// Overrides the default group-selection algorithm.
-    #[deprecated(since = "0.9.0", note = "use RuntimeConfig::mapping_algorithm")]
-    pub fn with_algorithm(mut self, algo: MappingAlgorithm) -> Self {
-        self.default_algo = algo;
-        self
-    }
-
-    /// Overrides the collective-algorithm policy of the underlying
-    /// universe: `Auto` (the default) lets the engine pick the
-    /// predicted-cheapest algorithm per call; `Fixed` pins one.
-    #[deprecated(since = "0.9.0", note = "use RuntimeConfig::collective_policy")]
-    pub fn with_collective_policy(mut self, policy: CollectivePolicy) -> Self {
-        #[allow(deprecated)]
-        {
-            self.universe = self.universe.with_collective_policy(policy);
-        }
-        self
-    }
-
-    /// Enables virtual-time tracing on the underlying universe: runs record
-    /// compute/send/recv spans plus HMPI-level recon and selection events,
-    /// and [`RunReport::trace`] carries the finished trace.
-    #[deprecated(since = "0.9.0", note = "use RuntimeConfig::tracing")]
-    pub fn with_tracing(mut self) -> Self {
-        #[allow(deprecated)]
-        {
-            self.universe = self.universe.with_tracing();
-        }
-        self
-    }
-
     /// The shared speed estimates (initially the cluster's base speeds;
     /// refreshed by [`Hmpi::recon`]).
     pub fn estimates(&self) -> &SpeedEstimates {

@@ -153,14 +153,17 @@ fn rebuild_group_shrinks_to_the_survivors() {
         h.group_free(rebuilt).unwrap();
         Ok((round, survivors))
     });
-    // Rank 3 crashes in round 2's compute (t crosses 2.5 between 2 and 3).
-    // Survivors abort a barrier no later than that round — the collective
-    // plane aborts as soon as the failure is *observed*, which can be
-    // earlier in wall-clock terms — and count 3 heads after the rebuild.
+    // Rank 3 crashes in round 2's compute (t crosses 2.5 between 2 and 3),
+    // so it never sends its round-2 barrier message. The barrier's
+    // schedule edges carry the failure to every survivor in that same
+    // round: rank 2 waits on rank 3 directly and poisons its report to
+    // rank 0, whose broadcast back down then carries the poison to rank 1.
+    // The abort round is a function of the fault plan alone. Survivors
+    // count 3 heads after the rebuild.
     assert_eq!(report.results[3], Err(2));
     for r in 0..3 {
         let (round, heads) = report.results[r].expect("survivors recover");
-        assert!(round <= 2, "rank {r} aborted after the crash round: {round}");
+        assert_eq!(round, 2, "rank {r} aborted outside the crash round");
         assert_eq!(heads, 3, "rank {r}");
     }
 }

@@ -525,39 +525,6 @@ fn traced_run_records_recon_and_selection_events() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_builders_forward_to_the_consolidated_config() {
-    // The pre-RuntimeConfig builder pile must keep working verbatim for
-    // one deprecation cycle: same estimates, same groups, same policies.
-    let rt = HmpiRuntime::new(small_cluster())
-        .with_algorithm(MappingAlgorithm::Exhaustive)
-        .with_collective_policy(hmpi::CollectivePolicy::Auto)
-        .with_tracing();
-    let report = rt.run(|h| {
-        h.recon_opts(hmpi::Recon::new(10.0).fault_tolerant(true))
-            .unwrap();
-        let model = ModelBuilder::new("m")
-            .processors(2)
-            .volumes(vec![10.0, 400.0])
-            .build()
-            .unwrap();
-        let g = h
-            .group_create(hmpi::GroupSpec::new(&model).placement(0))
-            .unwrap();
-        let members = g.members().to_vec();
-        if g.is_member() {
-            h.group_free(g).unwrap();
-        }
-        members
-    });
-    assert!(report.trace.is_some(), "with_tracing still records a trace");
-    let members = &report.results[0];
-    assert_eq!(members[0], 0, "parent stays pinned to the host");
-    let snap = rt.estimates().snapshot();
-    assert!(snap.iter().all(|s| s.is_finite() && *s > 0.0));
-}
-
-#[test]
 fn timeof_collective_selects_and_prices() {
     let rt = HmpiRuntime::new(small_cluster());
     let report = rt.run(|h| {

@@ -182,26 +182,13 @@ impl Comm {
         Ok(())
     }
 
-    /// The abort condition a blocked receive re-checks: is the peer (or, for
-    /// a collective, any group member) known to be dead?
-    ///
-    /// Point-to-point receives abort only when the awaited sender itself is
-    /// dead (`ANY_SOURCE`: when *every* other member is), so p2p between
-    /// live ranks keeps working during recovery. Collective receives abort
-    /// as soon as *any* member has fail-stopped — one dead participant makes
-    /// the collective impossible to complete, and aborting everywhere is
-    /// what propagates the failure to ranks not directly blocked on it.
-    fn peer_abort(&self, src_world: Option<usize>, collective: bool) -> Option<MpiError> {
+    /// The abort condition a blocked receive re-checks: is the awaited
+    /// sender dead (`ANY_SOURCE`: is *every* other member)? A live peer
+    /// never aborts the wait, so p2p between live ranks keeps working
+    /// during recovery, and a collective learns of a failure only along
+    /// its schedule's edges (see [`crate::engine`]).
+    fn peer_abort(&self, src_world: Option<usize>) -> Option<MpiError> {
         let me = self.my_world_rank();
-        if collective {
-            for &w in self.group.world_ranks() {
-                if w != me {
-                    if let RankState::Failed(_) = self.shared.rank_state(w) {
-                        return Some(MpiError::NodeFailed { world_rank: w });
-                    }
-                }
-            }
-        }
         match src_world {
             Some(s) => match self.shared.rank_state(s) {
                 RankState::Alive => None,
@@ -230,7 +217,7 @@ impl Comm {
         }
     }
 
-    fn check_rank(&self, rank: usize) -> MpiResult<()> {
+    pub(crate) fn check_rank(&self, rank: usize) -> MpiResult<()> {
         if rank >= self.size() {
             return Err(MpiError::InvalidRank {
                 rank: rank as isize,
@@ -369,24 +356,7 @@ impl Comm {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<(Msg, Status)> {
-        let collective = plane == self.coll_plane();
-        self.recv_bytes_opts(plane, src, tag, None, collective)
-    }
-
-    /// [`Comm::recv_bytes`] with *point-to-point* abort semantics even on
-    /// the collective plane: the wait aborts only when the awaited sender
-    /// itself is dead, not when any group member is. The schedule engine
-    /// uses this so a fault propagates along schedule edges — a rank whose
-    /// data path does not touch the dead rank finishes its receives and
-    /// learns of the failure deterministically, at its next dependence on
-    /// the failure, rather than via a real-time race.
-    pub(crate) fn recv_bytes_from(
-        &self,
-        plane: u64,
-        src: usize,
-        tag: Option<i32>,
-    ) -> MpiResult<(Msg, Status)> {
-        self.recv_bytes_opts(plane, Some(src), tag, None, false)
+        self.recv_bytes_opts(plane, src, tag, None)
     }
 
     /// Resolution of a provably-missed receive deadline: a doomed rank dies
@@ -421,8 +391,7 @@ impl Comm {
     /// * A message already queued from a now-dead sender is still delivered
     ///   (it was sent before the sender died).
     /// * Blocked with the awaited peer dead → [`MpiError::NodeFailed`] /
-    ///   [`MpiError::PeerTerminated`]; with `collective_abort` any dead
-    ///   group member aborts the wait (see [`Comm::peer_abort`]).
+    ///   [`MpiError::PeerTerminated`] (see [`Comm::peer_abort`]).
     /// * `deadline` exceeded → [`MpiError::Timeout`], with the clock advanced
     ///   to the deadline and any late message left queued. The miss is
     ///   concluded *exactly*: either a provably-late message is queued
@@ -452,7 +421,6 @@ impl Comm {
         src: Option<usize>,
         tag: Option<i32>,
         deadline: Option<SimTime>,
-        collective_abort: bool,
     ) -> MpiResult<(Msg, Status)> {
         self.check_self_alive()?;
         let my_world = self.my_world_rank();
@@ -471,20 +439,11 @@ impl Comm {
         // among them (or only all of them) aborts the wait. Must mirror
         // `peer_abort` exactly, or the quiescence stability check diverges
         // from what this loop actually does.
-        let others = || -> Vec<usize> {
-            self.group
-                .world_ranks()
-                .iter()
-                .copied()
-                .filter(|&w| w != my_world)
-                .collect()
-        };
-        let (waiting_on, abort_any) = if collective_abort {
-            (others(), true)
-        } else {
-            match pat.src_world {
-                Some(s) => (vec![s], true),
-                None => (others(), false),
+        let (waiting_on, abort_any) = match pat.src_world {
+            Some(s) => (vec![s], true),
+            None => {
+                let others = self.group.world_ranks().iter().copied();
+                (others.filter(|&w| w != my_world).collect(), false)
             }
         };
 
@@ -499,7 +458,7 @@ impl Comm {
                 }
                 Claim::Nothing => {}
             }
-            if let Some(err) = self.peer_abort(pat.src_world, collective_abort) {
+            if let Some(err) = self.peer_abort(pat.src_world) {
                 // A sender may have posted its message and *then* died;
                 // the queued match wins over the abort.
                 match mb.claim(pat, eff_deadline) {
@@ -550,7 +509,7 @@ impl Comm {
                         other => other,
                     });
                 }
-                if let Some(err) = self.peer_abort(pat.src_world, collective_abort) {
+                if let Some(err) = self.peer_abort(pat.src_world) {
                     // A sender may have posted its message and *then* died;
                     // the queued match wins over the abort.
                     match reg.claim_for(my_world, pat, eff_deadline) {
@@ -664,7 +623,7 @@ impl Comm {
     ) -> MpiResult<(Vec<T>, Status)> {
         self.check_rank(src)?;
         let (bytes, status) =
-            self.recv_bytes_opts(self.ctx, Some(src), Some(tag), Some(deadline), false)?;
+            self.recv_bytes_opts(self.ctx, Some(src), Some(tag), Some(deadline))?;
         Ok((decode(&bytes)?, status))
     }
 
@@ -800,7 +759,7 @@ impl Comm {
             if let Some(hit) = mb.try_probe(pat) {
                 break 'found hit;
             }
-            if let Some(err) = self.peer_abort(pat.src_world, false) {
+            if let Some(err) = self.peer_abort(pat.src_world) {
                 match mb.try_probe(pat) {
                     Some(hit) => break 'found hit,
                     None => return Err(err),
@@ -826,7 +785,7 @@ impl Comm {
                     break 'found hit;
                 }
                 seen = mb.rings();
-                if let Some(err) = self.peer_abort(pat.src_world, false) {
+                if let Some(err) = self.peer_abort(pat.src_world) {
                     let late = mb.try_probe(pat);
                     reg.unblock(my_world);
                     match late {
@@ -1353,7 +1312,7 @@ pub fn wait_any<T: MpiType>(
         let mut all_dead = true;
         for r in &reqs {
             let src_world = r.src.map(|s| comm.world_rank_of(s));
-            match comm.peer_abort(src_world, false) {
+            match comm.peer_abort(src_world) {
                 Some(err) => dead_end = dead_end.or(Some(err)),
                 None => {
                     all_dead = false;

@@ -1,17 +1,21 @@
-//! The collective algorithm engine: schedule-driven collectives with
-//! cost-model selection.
+//! The collective algorithm engine: every `Comm` collective, schedule-driven,
+//! with cost-model selection where there is a choice of algorithm.
 //!
 //! Every collective here executes a [`perfmodel::collective`] *schedule* —
-//! an ordered list of rounds of point-to-point transfers — through the same
-//! eager transport ([`Comm::post_bytes`] / [`Comm::recv_bytes`]) the rest of
-//! mpisim uses, on the communicator's collective plane. That buys three
+//! an ordered list of rounds of point-to-point transfers — through one
+//! executor (`run_schedule`) over the same eager transport
+//! ([`Comm::post_bytes`] / [`Comm::recv_bytes`]) the rest of mpisim uses, on
+//! the communicator's collective plane. The [`CollectiveKind`]s choose an
+//! algorithm per call; the [`FixedKind`]s (barrier, the `Vec` broadcast,
+//! gather, scatter, alltoall, scan, exscan) have exactly one schedule, whose
+//! block counts a receiver may learn from the message. That buys three
 //! properties for free:
 //!
 //! * **a fault contract** — under fail-stop faults every surviving member
 //!   returns either the *complete, correct* result or a typed
 //!   [`MpiError::NodeFailed`]; never a torn buffer and never a hang.
-//!   Faults propagate *along schedule edges*: a receive aborts when its
-//!   specific scheduled sender is dead ([`Comm::recv_bytes_from`]), and a
+//!   Faults propagate *along schedule edges*: a receive aborts only when
+//!   its specific scheduled sender is dead, and a
 //!   rank that aborts mid-schedule first *poisons* every scheduled transfer
 //!   it has not yet sent (a [`TAG_POISON`] message naming the failed world
 //!   rank), so downstream ranks fail fast with the same root cause instead
@@ -32,7 +36,9 @@
 //! algorithm per call from the message size, communicator size and the
 //! hetsim link table, and runs the predicted-cheapest. All selection inputs
 //! are rank-independent, so every member picks the same algorithm without
-//! any agreement traffic.
+//! any agreement traffic. The fixed kinds ignore the policy: a universe
+//! pinned to, say, [`CollectiveAlgo::Ring`] still synchronises with the
+//! barrier's binomial schedule.
 //!
 //! Reduction collectives preserve a **fixed deterministic fold order**
 //! regardless of algorithm: the result element `i` is always the
@@ -49,8 +55,8 @@ use std::cell::Cell;
 use hetsim::trace::{TraceEvent, TraceKind};
 use hetsim::{ContentionModel, NodeId, PairTable, SimTime};
 use perfmodel::collective::{
-    chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind, LinkSharing,
-    Xfer,
+    chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind, FixedKind,
+    LinkSharing, Xfer,
 };
 use perfmodel::{hier_plan, GatherXfer, HierPlan, PairCost, RankTopology};
 
@@ -218,15 +224,10 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<Execution> {
+        // Validated before Auto pricing: perfmodel::collective::select has
+        // no schedule for an out-of-range root.
+        self.check_rank(root)?;
         let p = self.size();
-        if root >= p {
-            // Validated before Auto pricing: perfmodel::collective::select
-            // has no schedule for an out-of-range root.
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
-        }
         let requested = explicit.or(match self.shared.coll_policy {
             CollectivePolicy::Auto | CollectivePolicy::FlatAuto => None,
             CollectivePolicy::Fixed(a) => Some(a),
@@ -279,13 +280,8 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<(CollectiveAlgo, f64)> {
+        self.check_rank(root)?;
         let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
-        }
         let (cost, sharing) = self.coll_cost();
         let (flat, flat_t) = select(kind, p, root, elems, elem_bytes as f64, &cost, sharing);
         if self.shared.coll_policy != CollectivePolicy::FlatAuto {
@@ -316,13 +312,8 @@ impl Comm {
         elems: usize,
         elem_bytes: usize,
     ) -> MpiResult<f64> {
+        self.check_rank(root)?;
         let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: p,
-            });
-        }
         if algo == CollectiveAlgo::Hierarchical {
             let (cost, sharing) = self.coll_cost();
             return self
@@ -347,10 +338,39 @@ impl Comm {
         Ok(price(p, &rounds, elem_bytes as f64, &cost, sharing))
     }
 
-    /// Records a [`TraceKind::Collective`] span covering one engine call.
+    /// Predicts the virtual time of a [`FixedKind`] collective for the
+    /// given block counts (see [`FixedKind::schedule`]; pass equal counts
+    /// of [`FixedKind::blocks`] length for `MPI_Gather`-style calls).
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidRank`] if `root` is outside the communicator;
+    /// [`MpiError::InvalidCounts`] if `counts` has the wrong length.
+    pub fn predict_fixed(
+        &self,
+        kind: FixedKind,
+        root: usize,
+        counts: &[usize],
+        elem_bytes: usize,
+    ) -> MpiResult<f64> {
+        self.check_rank(root)?;
+        let p = self.size();
+        let rounds = kind.schedule(p, root, counts).ok_or_else(|| {
+            MpiError::InvalidCounts(format!(
+                "{} over {p} rank(s) takes {} block count(s), got {}",
+                kind.name(),
+                kind.blocks(p),
+                counts.len()
+            ))
+        })?;
+        let (cost, sharing) = self.coll_cost();
+        Ok(price(p, &rounds, elem_bytes as f64, &cost, sharing))
+    }
+
+    /// Records a [`TraceKind::Collective`] span covering one engine call
+    /// of the collective named `kind`.
     fn trace_collective(
         &self,
-        kind: CollectiveKind,
+        kind: &str,
         algo: CollectiveAlgo,
         elems: usize,
         elem_bytes: usize,
@@ -362,11 +382,7 @@ impl Comm {
             ev.dur = self.clock.now().max(start) - start;
             ev.collective = true;
             ev.bytes = (elems * elem_bytes) as u64;
-            ev.info = Some(format!(
-                "{} p={} elems={elems}",
-                kind.name(),
-                self.size()
-            ));
+            ev.info = Some(format!("{kind} p={} elems={elems}", self.size()));
             tracer.record(ev);
         }
     }
@@ -382,15 +398,14 @@ impl Comm {
     /// Completes one scheduled receive from comm rank `src`: the data
     /// payload, or the failure the sender propagated in its place.
     ///
-    /// The wait uses point-to-point abort semantics (only `src`'s own death
-    /// aborts it), so the failure surface follows schedule edges
-    /// deterministically instead of racing a real-time failure detector. A
-    /// [`TAG_POISON`] message decodes to [`MpiError::NodeFailed`] blaming
-    /// the world rank it carries; a terminated peer is normalised to
+    /// Only `src`'s own death aborts the wait, so the failure surface
+    /// follows schedule edges deterministically instead of racing a
+    /// real-time failure detector. A [`TAG_POISON`] message decodes to
+    /// [`MpiError::NodeFailed`] blaming the world rank it carries; a terminated peer is normalised to
     /// [`MpiError::NodeFailed`] too, so the engine's fault contract exposes
     /// a single error type.
     fn recv_sched(&self, src: usize) -> MpiResult<Vec<u8>> {
-        match self.recv_bytes_from(self.coll_plane(), src, None) {
+        match self.recv_bytes(self.coll_plane(), Some(src), None) {
             Ok((bytes, st)) if st.tag == TAG_POISON => {
                 let v: Vec<i64> = decode(&bytes)?;
                 let world_rank = v
@@ -448,11 +463,38 @@ impl Comm {
         out
     }
 
-    /// Executes a data-movement schedule over `buf`: within each round, this
-    /// rank issues all its sends in schedule order, then completes all its
-    /// receives. A received payload whose size disagrees with the scheduled
-    /// range is [`MpiError::InvalidCounts`] — the hallmark of ranks calling
-    /// the collective with different buffer lengths.
+    /// The executor: runs this rank's part of a schedule. Within each round
+    /// the rank issues all its sends in schedule order, each payload built
+    /// by `send` from `state`, then completes all its receives in schedule
+    /// order, each handed to `recv` to fold into `state`. The schedule
+    /// itself is the fault contract's poison reference, so every
+    /// collective that runs through here sends exactly its scheduled edges.
+    fn run_schedule<S>(
+        &self,
+        rounds: &[Vec<Xfer>],
+        state: &mut S,
+        sent: &Cell<usize>,
+        send: impl Fn(&S, &Xfer) -> Vec<u8>,
+        mut recv: impl FnMut(&mut S, &Xfer, Vec<u8>) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        let me = self.rank();
+        for round in rounds {
+            for x in round.iter().filter(|x| x.src == me) {
+                self.post_sched(send(state, x), x.dst, sent)?;
+            }
+            for x in round.iter().filter(|x| x.dst == me) {
+                let bytes = self.recv_sched(x.src)?;
+                recv(state, x, bytes)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes a data-movement schedule over `buf`: every transfer carries
+    /// its scheduled range of the buffer. A received payload whose size
+    /// disagrees with the scheduled range is [`MpiError::InvalidCounts`] —
+    /// the hallmark of ranks calling the collective with different buffer
+    /// lengths.
     ///
     /// All receives land in a scratch copy that is committed to `buf` only
     /// when the whole schedule has run: an abort part-way through leaves
@@ -463,14 +505,13 @@ impl Comm {
         buf: &mut [T],
         sent: &Cell<usize>,
     ) -> MpiResult<()> {
-        let me = self.rank();
         let mut scratch: Vec<T> = buf.to_vec();
-        for round in rounds {
-            for x in round.iter().filter(|x| x.src == me) {
-                self.post_sched(encode(&scratch[x.lo..x.hi]), x.dst, sent)?;
-            }
-            for x in round.iter().filter(|x| x.dst == me) {
-                let bytes = self.recv_sched(x.src)?;
+        self.run_schedule(
+            rounds,
+            &mut scratch,
+            sent,
+            |s, x| encode(&s[x.lo..x.hi]),
+            |s, x, bytes| {
                 let want = x.elems() * T::WIRE_SIZE;
                 if bytes.len() != want {
                     return Err(MpiError::InvalidCounts(format!(
@@ -479,10 +520,37 @@ impl Comm {
                         bytes.len()
                     )));
                 }
-                decode_into(&bytes, &mut scratch[x.lo..x.hi])?;
-            }
-        }
+                decode_into(&bytes, &mut s[x.lo..x.hi]).map(drop)
+            },
+        )?;
         buf.copy_from_slice(&scratch);
+        Ok(())
+    }
+
+    /// Runs a [`FixedKind`] collective under the fault contract and traces
+    /// it. `counts` are the block counts as this rank knows them; a rank
+    /// that is not told a count passes 0 in its place, which leaves the
+    /// schedule's edges unchanged, and its `recv` takes the length from
+    /// the message. The span records the elements this rank knew of.
+    #[allow(clippy::too_many_arguments)]
+    fn run_fixed<S>(
+        &self,
+        kind: FixedKind,
+        root: usize,
+        counts: &[usize],
+        elem_bytes: usize,
+        state: &mut S,
+        send: impl Fn(&S, &Xfer) -> Vec<u8>,
+        recv: impl FnMut(&mut S, &Xfer, Vec<u8>) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        let rounds = kind
+            .schedule(self.size(), root, counts)
+            .expect("callers check the root and size the counts");
+        let start = self.clock.now();
+        self.with_fault_contract(&rounds, |sent| {
+            self.run_schedule(&rounds, state, sent, send, recv)
+        })?;
+        self.trace_collective(kind.name(), kind.algo(), counts.iter().sum(), elem_bytes, start);
         Ok(())
     }
 
@@ -508,8 +576,7 @@ impl Comm {
                 let rounds = plan.xfer_rounds(buf.len());
                 let start = self.clock.now();
                 self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
-                self.trace_collective(
-                    CollectiveKind::Bcast,
+                self.trace_collective(CollectiveKind::Bcast.name(),
                     CollectiveAlgo::Hierarchical,
                     buf.len(),
                     T::WIRE_SIZE,
@@ -531,12 +598,7 @@ impl Comm {
         buf: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        if root >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root as isize,
-                comm_size: self.size(),
-            });
-        }
+        self.check_rank(root)?;
         let rounds =
             schedule(CollectiveKind::Bcast, algo, self.size(), root, buf.len()).ok_or_else(
                 || {
@@ -549,7 +611,7 @@ impl Comm {
             )?;
         let start = self.clock.now();
         self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
-        self.trace_collective(CollectiveKind::Bcast, algo, buf.len(), T::WIRE_SIZE, start);
+        self.trace_collective(CollectiveKind::Bcast.name(), algo, buf.len(), T::WIRE_SIZE, start);
         Ok(())
     }
 
@@ -580,8 +642,7 @@ impl Comm {
                 self.with_fault_contract(&rounds, |sent| {
                     self.run_movement(&rounds, &mut buf, sent)
                 })?;
-                self.trace_collective(
-                    CollectiveKind::Allgather,
+                self.trace_collective(CollectiveKind::Allgather.name(),
                     CollectiveAlgo::Hierarchical,
                     total,
                     T::WIRE_SIZE,
@@ -615,10 +676,389 @@ impl Comm {
         buf[lo..hi].copy_from_slice(contrib);
         let start = self.clock.now();
         self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, &mut buf, sent))?;
-        self.trace_collective(CollectiveKind::Allgather, algo, total, T::WIRE_SIZE, start);
+        self.trace_collective(CollectiveKind::Allgather.name(), algo, total, T::WIRE_SIZE, start);
         Ok(buf)
     }
+
+    /// Barrier (`MPI_Barrier`): the [`FixedKind::Barrier`] schedule,
+    /// empty messages up a binomial tree to rank 0 and back down. On
+    /// return, every rank's clock is at least the time at which the last
+    /// rank entered the barrier plus the tree traversal cost.
+    ///
+    /// # Errors
+    /// [`MpiError::NodeFailed`] if a member has fail-stopped: every
+    /// survivor depends on every member through the tree.
+    pub fn barrier(&self) -> MpiResult<()> {
+        self.run_fixed(
+            FixedKind::Barrier,
+            0,
+            &[],
+            0,
+            &mut (),
+            |_, _| Vec::new(),
+            |_, _, _| Ok(()),
+        )
+    }
+
+    /// Broadcast (`MPI_Bcast`) over the [`FixedKind::Bcastv`] tree:
+    /// `data` is the payload at `root` and is replaced with the broadcast
+    /// value everywhere else; non-roots learn the length from the message.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidRank`] for a bad root; [`MpiError::NodeFailed`]
+    /// if this rank's tree path depends on a fail-stopped member (`data`
+    /// is then left as passed).
+    pub fn bcast<T: MpiType>(&self, data: &mut Vec<T>, root: usize) -> MpiResult<()> {
+        self.check_rank(root)?;
+        let is_root = self.rank() == root;
+        let mut bytes = if is_root { encode(data) } else { Vec::new() };
+        self.run_fixed(
+            FixedKind::Bcastv,
+            root,
+            &[if is_root { data.len() } else { 0 }],
+            T::WIRE_SIZE,
+            &mut bytes,
+            |b, _| b.clone(),
+            |b, _, got| {
+                *b = got;
+                Ok(())
+            },
+        )?;
+        if !is_root {
+            *data = decode(&bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Broadcasts a single value from `root`.
+    ///
+    /// # Errors
+    /// As [`Comm::bcast`].
+    pub fn bcast_one<T: MpiType + Default>(&self, value: T, root: usize) -> MpiResult<T> {
+        let mut v = if self.rank() == root {
+            vec![value]
+        } else {
+            Vec::new()
+        };
+        self.bcast(&mut v, root)?;
+        Ok(v[0])
+    }
+
+    /// Gather (`MPI_Gatherv`-style, [`FixedKind::Gatherv`]): every rank
+    /// contributes a slice (lengths may differ); `root` receives
+    /// `Some(vec_of_contributions)` in rank order, everyone else `None`.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidRank`] for a bad root; [`MpiError::NodeFailed`]
+    /// at the root if a contributor has fail-stopped.
+    pub fn gather<T: MpiType>(&self, contrib: &[T], root: usize) -> MpiResult<Option<Vec<Vec<T>>>> {
+        self.check_rank(root)?;
+        let (p, me) = (self.size(), self.rank());
+        let mut counts = vec![0; p];
+        counts[me] = contrib.len();
+        let mut parts = vec![Vec::new(); if me == root { p } else { 0 }];
+        self.run_fixed(
+            FixedKind::Gatherv,
+            root,
+            &counts,
+            T::WIRE_SIZE,
+            &mut parts,
+            |_, _| encode(contrib),
+            |parts, x, bytes| {
+                parts[x.src] = decode(&bytes)?;
+                Ok(())
+            },
+        )?;
+        if me != root {
+            return Ok(None);
+        }
+        parts[root] = contrib.to_vec();
+        Ok(Some(parts))
+    }
+
+    /// Gather with equal contribution lengths, flattened in rank order
+    /// (`MPI_Gather`).
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidCounts`] if contributions differ in length.
+    pub fn gather_flat<T: MpiType>(
+        &self,
+        contrib: &[T],
+        root: usize,
+    ) -> MpiResult<Option<Vec<T>>> {
+        let per = contrib.len();
+        match self.gather(contrib, root)? {
+            None => Ok(None),
+            Some(parts) => {
+                if parts.iter().any(|p| p.len() != per) {
+                    return Err(MpiError::InvalidCounts(
+                        "gather_flat requires equal contribution lengths".into(),
+                    ));
+                }
+                Ok(Some(parts.into_iter().flatten().collect()))
+            }
+        }
+    }
+
+    /// Scatter (`MPI_Scatterv`-style, [`FixedKind::Scatterv`]): `root`
+    /// supplies one vector per rank (`parts.len() == size`); each rank
+    /// receives its part.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidCounts`] if root's `parts` has the wrong arity;
+    /// [`MpiError::InvalidRank`] for a bad root; [`MpiError::NodeFailed`]
+    /// at a non-root if the root has fail-stopped.
+    pub fn scatter<T: MpiType>(
+        &self,
+        parts: Option<&[Vec<T>]>,
+        root: usize,
+    ) -> MpiResult<Vec<T>> {
+        self.check_rank(root)?;
+        let p = self.size();
+        let parts = if self.rank() == root {
+            let parts = parts.ok_or_else(|| {
+                MpiError::InvalidCounts("root must supply scatter parts".into())
+            })?;
+            if parts.len() != p {
+                return Err(MpiError::InvalidCounts(format!(
+                    "scatter needs {p} parts, got {}",
+                    parts.len()
+                )));
+            }
+            parts
+        } else {
+            &[]
+        };
+        let counts: Vec<usize> = match parts {
+            [] => vec![0; p],
+            _ => parts.iter().map(Vec::len).collect(),
+        };
+        let mut mine = parts.get(root).cloned().unwrap_or_default();
+        self.run_fixed(
+            FixedKind::Scatterv,
+            root,
+            &counts,
+            T::WIRE_SIZE,
+            &mut mine,
+            |_, x| encode(&parts[x.dst]),
+            |mine, _, bytes| {
+                *mine = decode(&bytes)?;
+                Ok(())
+            },
+        )?;
+        Ok(mine)
+    }
+
+    /// Allgather (`MPI_Allgatherv`-style): every rank receives every rank's
+    /// contribution, in rank order. Composed of a gather to rank 0 and two
+    /// broadcasts (lengths, then the flattened payload).
+    ///
+    /// # Errors
+    /// [`MpiError::NodeFailed`] if a member has fail-stopped.
+    pub fn allgather<T: MpiType>(&self, contrib: &[T]) -> MpiResult<Vec<Vec<T>>> {
+        let gathered = self.gather(contrib, 0)?;
+        let (mut lens, mut flat): (Vec<usize>, Vec<T>) = match gathered {
+            Some(parts) => (
+                parts.iter().map(Vec::len).collect(),
+                parts.into_iter().flatten().collect(),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        self.bcast(&mut lens, 0)?;
+        self.bcast(&mut flat, 0)?;
+        let mut out = Vec::with_capacity(lens.len());
+        let mut off = 0;
+        for len in lens {
+            out.push(flat[off..off + len].to_vec());
+            off += len;
+        }
+        Ok(out)
+    }
+
+    /// All-to-all personalised exchange (`MPI_Alltoallv`-style,
+    /// [`FixedKind::Alltoallv`]): rank `i`'s `sends[j]` is delivered as
+    /// rank `j`'s result `[i]`.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidCounts`] if `sends.len() != size`;
+    /// [`MpiError::NodeFailed`] if a member has fail-stopped.
+    pub fn alltoall<T: MpiType>(&self, sends: &[Vec<T>]) -> MpiResult<Vec<Vec<T>>> {
+        let (p, me) = (self.size(), self.rank());
+        if sends.len() != p {
+            return Err(MpiError::InvalidCounts(format!(
+                "alltoall needs {p} send vectors, got {}",
+                sends.len()
+            )));
+        }
+        let mut counts = vec![0; p * p];
+        for (dst, v) in sends.iter().enumerate() {
+            counts[me * p + dst] = v.len();
+        }
+        let mut out = vec![Vec::new(); p];
+        out[me] = sends[me].clone();
+        self.run_fixed(
+            FixedKind::Alltoallv,
+            0,
+            &counts,
+            T::WIRE_SIZE,
+            &mut out,
+            |_, x| encode(&sends[x.dst]),
+            |out, x, bytes| {
+                out[x.src] = decode(&bytes)?;
+                Ok(())
+            },
+        )?;
+        Ok(out)
+    }
+
+    /// Prefix reduction along the rank chain ([`FixedKind::Scan`] or
+    /// [`FixedKind::Exscan`]): each rank receives its predecessor's
+    /// prefix, folds, and passes its inclusive prefix on. Returns the
+    /// inclusive prefix for a scan, the exclusive one (the identity at rank
+    /// 0) for an exscan.
+    fn prefix<T: MpiType>(
+        &self,
+        kind: FixedKind,
+        contrib: &[T],
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+    ) -> MpiResult<Vec<T>> {
+        let n = contrib.len();
+        let inclusive = kind == FixedKind::Scan;
+        let mut acc = if inclusive {
+            contrib.to_vec()
+        } else {
+            vec![identity; n]
+        };
+        self.run_fixed(
+            kind,
+            0,
+            &[n],
+            T::WIRE_SIZE,
+            &mut acc,
+            |acc, _| {
+                if inclusive {
+                    encode(acc)
+                } else {
+                    let mut inc = acc.clone();
+                    fold(&mut inc, contrib);
+                    encode(&inc)
+                }
+            },
+            |acc, _, bytes| {
+                let mut prefix: Vec<T> = decode(&bytes)?;
+                if prefix.len() != n {
+                    return Err(MpiError::InvalidCounts(format!(
+                        "reduction operand has {} elements, local contribution has {n} \
+                         (ranks called the collective with different lengths?)",
+                        prefix.len()
+                    )));
+                }
+                if inclusive {
+                    fold(&mut prefix, contrib);
+                }
+                *acc = prefix;
+                Ok(())
+            },
+        )?;
+        Ok(acc)
+    }
 }
+
+/// Generates the typed prefix, reduce-scatter and scalar reductions for one
+/// element type.
+macro_rules! impl_fixed_reductions {
+    ($t:ty, $fold:ident, $identity:ident, $reduce:ident, $allreduce:ident,
+     $scan:ident, $exscan:ident, $reduce_scatter_block:ident,
+     $reduce_one:ident, $allreduce_one:ident) => {
+        impl Comm {
+            /// Inclusive prefix reduction (`MPI_Scan`): rank `i` receives the
+            /// reduction of contributions from ranks `0..=i`, folded along
+            /// the rank chain in rank order.
+            ///
+            /// # Errors
+            /// [`MpiError::InvalidCounts`] if ranks contribute different
+            /// lengths; [`MpiError::NodeFailed`] if a predecessor has
+            /// fail-stopped.
+            pub fn $scan(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
+                self.prefix(FixedKind::Scan, contrib, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
+            /// Exclusive prefix reduction (`MPI_Exscan`): rank `i` receives
+            /// the reduction of contributions from ranks `0..i`; rank 0
+            /// receives the identity.
+            ///
+            /// # Errors
+            #[doc = concat!("As [`Comm::", stringify!($scan), "`].")]
+            pub fn $exscan(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
+                self.prefix(FixedKind::Exscan, contrib, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
+            /// Reduce-scatter with equal block sizes
+            /// (`MPI_Reduce_scatter_block`): the elementwise reduction of
+            /// every rank's `contrib` (length `size * block`) is computed and
+            /// rank `i` receives elements `i*block .. (i+1)*block`.
+            #[doc = concat!("A [`Comm::", stringify!($reduce), "`] to rank 0 and a [`Comm::scatter`].")]
+            ///
+            /// # Errors
+            /// [`MpiError::InvalidCounts`] if the contribution length is not
+            /// `size * block`.
+            pub fn $reduce_scatter_block(
+                &self,
+                contrib: &[$t],
+                block: usize,
+                op: ReduceOp,
+            ) -> MpiResult<Vec<$t>> {
+                if block == 0 {
+                    return Err(MpiError::InvalidCounts(
+                        "reduce_scatter_block needs a non-zero block size".into(),
+                    ));
+                }
+                if contrib.len() != self.size() * block {
+                    return Err(MpiError::InvalidCounts(format!(
+                        "reduce_scatter_block needs {} elements, got {}",
+                        self.size() * block,
+                        contrib.len()
+                    )));
+                }
+                let reduced = self.$reduce(contrib, op, 0)?;
+                let parts: Option<Vec<Vec<$t>>> = reduced
+                    .map(|full| full.chunks(block).map(<[$t]>::to_vec).collect());
+                self.scatter(parts.as_deref(), 0)
+            }
+
+            #[doc = concat!("Scalar [`Comm::", stringify!($reduce), "`].")]
+            ///
+            /// # Errors
+            /// As the vector form.
+            pub fn $reduce_one(
+                &self,
+                value: $t,
+                op: ReduceOp,
+                root: usize,
+            ) -> MpiResult<Option<$t>> {
+                Ok(self.$reduce(&[value], op, root)?.map(|v| v[0]))
+            }
+
+            #[doc = concat!("Scalar [`Comm::", stringify!($allreduce), "`].")]
+            ///
+            /// # Errors
+            /// As the vector form.
+            pub fn $allreduce_one(&self, value: $t, op: ReduceOp) -> MpiResult<$t> {
+                Ok(self.$allreduce(&[value], op)?[0])
+            }
+        }
+    };
+}
+
+impl_fixed_reductions!(
+    f64, fold_f64, identity_f64, reduce_eq_f64, allreduce_eq_f64, scan_f64, exscan_f64,
+    reduce_scatter_block_f64, reduce_one_f64, allreduce_one_f64
+);
+impl_fixed_reductions!(
+    i64, fold_i64, identity_i64, reduce_eq_i64, allreduce_eq_i64, scan_i64, exscan_i64,
+    reduce_scatter_block_i64, reduce_one_i64, allreduce_one_i64
+);
 
 /// Generates the typed engine reductions for one element type.
 macro_rules! impl_engine_reductions {
@@ -1000,8 +1440,7 @@ macro_rules! impl_engine_reductions {
                         let out = self.with_fault_contract(&rounds, |sent| {
                             self.$hier_gather(&plan, contrib, op, root, sent)
                         })?;
-                        self.trace_collective(
-                            CollectiveKind::Reduce,
+                        self.trace_collective(CollectiveKind::Reduce.name(),
                             CollectiveAlgo::Hierarchical,
                             contrib.len(),
                             std::mem::size_of::<$t>(),
@@ -1023,13 +1462,8 @@ macro_rules! impl_engine_reductions {
                 op: ReduceOp,
                 root: usize,
             ) -> MpiResult<Option<Vec<$t>>> {
+                self.check_rank(root)?;
                 let p = self.size();
-                if root >= p {
-                    return Err(MpiError::InvalidRank {
-                        rank: root as isize,
-                        comm_size: p,
-                    });
-                }
                 if !eligible(CollectiveKind::Reduce, algo, p) {
                     return Err(MpiError::InvalidCounts(format!(
                         "algorithm {} is not eligible for reduce over {p} rank(s)",
@@ -1055,8 +1489,7 @@ macro_rules! impl_engine_reductions {
                         _ => unreachable!("eligibility checked above"),
                     })?
                 };
-                self.trace_collective(
-                    CollectiveKind::Reduce,
+                self.trace_collective(CollectiveKind::Reduce.name(),
                     algo,
                     contrib.len(),
                     std::mem::size_of::<$t>(),
@@ -1100,8 +1533,7 @@ macro_rules! impl_engine_reductions {
                             self.run_movement(&plan.movement, &mut buf, sent)?;
                             Ok(buf)
                         })?;
-                        self.trace_collective(
-                            CollectiveKind::Allreduce,
+                        self.trace_collective(CollectiveKind::Allreduce.name(),
                             CollectiveAlgo::Hierarchical,
                             n,
                             std::mem::size_of::<$t>(),
@@ -1177,8 +1609,7 @@ macro_rules! impl_engine_reductions {
                         }
                     })?
                 };
-                self.trace_collective(
-                    CollectiveKind::Allreduce,
+                self.trace_collective(CollectiveKind::Allreduce.name(),
                     algo,
                     contrib.len(),
                     std::mem::size_of::<$t>(),

@@ -15,10 +15,12 @@
 //! * **point-to-point** typed `send`/`recv`/`sendrecv`/`isend`/`irecv`/
 //!   `probe` with `ANY_SOURCE`/`ANY_TAG` wildcards and MPI's per-pair
 //!   non-overtaking guarantee;
-//! * **collectives** built *on top of* point-to-point (binomial-tree
-//!   broadcast and reduce; gather(v), scatter(v), allgather(v), alltoall,
-//!   allreduce, scan, barrier, reduce_scatter_block) so their cost model
-//!   emerges from the link model rather than being postulated;
+//! * **collectives** built *on top of* point-to-point (broadcast, reduce,
+//!   allreduce, allgather(v), gather(v), scatter(v), alltoall(v), scan,
+//!   exscan, barrier, reduce_scatter_block), every one a
+//!   [`perfmodel::collective`] schedule run by the one executor in
+//!   [`engine`], so their cost model emerges from the link model rather
+//!   than being postulated, and the pricer predicts it exactly;
 //! * **virtual time** — every rank carries a logical clock
 //!   ([`LocalClock`]); [`Process::compute`] advances it by
 //!   `volume / speed(node, now)` against the [`hetsim::Cluster`] the ranks
@@ -37,7 +39,6 @@
 
 pub mod agree;
 pub mod cart;
-pub mod collective;
 pub mod comm;
 pub mod datatype;
 pub mod engine;
@@ -57,7 +58,7 @@ pub use comm::{wait_all, wait_any, Comm, RecvRequest, SendRequest};
 pub use datatype::MpiType;
 pub use engine::CollectivePolicy;
 pub use error::{MpiError, MpiResult, WaitGraph};
-pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind};
+pub use perfmodel::collective::{CollectiveAlgo, CollectiveKind, FixedKind};
 pub use group::{Group, GroupCompare};
 pub use op::ReduceOp;
 pub use p2p::{Msg, Payload, Status, ANY_SOURCE, ANY_TAG, DEADLOCK_TIMEOUT, DEFAULT_EAGER_LIMIT};

@@ -334,79 +334,6 @@ impl Universe {
         Universe::with_config(Arc::new(cluster), config)
     }
 
-    /// Explicit placement: `placement[world_rank]` is the hosting node.
-    ///
-    /// # Panics
-    /// Panics if any node id is out of range or a node's slot count is
-    /// exceeded.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use Universe::with_config(cluster, UniverseConfig::new().placement(...))"
-    )]
-    pub fn with_placement(cluster: Arc<Cluster>, placement: Vec<NodeId>) -> Self {
-        Universe::with_config(cluster, UniverseConfig::new().placement(placement))
-    }
-
-    /// Sets the wall-clock watchdog for subsequent runs: the real-time
-    /// backstop a blocked operation waits before giving up with a typed
-    /// error. The virtual-time quiescence detector classifies stuck states
-    /// in milliseconds, so the watchdog should never fire in practice —
-    /// shorten it in tests that deliberately defeat the detector, or
-    /// lengthen it for heavily oversubscribed hosts. Defaults to the
-    /// `MPISIM_DEADLOCK_TIMEOUT` environment variable (seconds, fractional
-    /// allowed) when set, else [`DEADLOCK_TIMEOUT`].
-    #[deprecated(since = "0.9.0", note = "use UniverseConfig::deadlock_timeout")]
-    pub fn with_deadlock_timeout(mut self, timeout: Duration) -> Self {
-        self.watchdog = Some(timeout);
-        self
-    }
-
-    /// Sets the collective engine's algorithm policy for subsequent runs:
-    /// [`CollectivePolicy::Auto`] (the default) prices every eligible
-    /// algorithm per call and picks the predicted-cheapest;
-    /// [`CollectivePolicy::Fixed`] pins one algorithm for every engine
-    /// collective (calls for which it is ineligible fail with
-    /// [`MpiError::InvalidCounts`]).
-    #[deprecated(since = "0.9.0", note = "use UniverseConfig::collective_policy")]
-    pub fn with_collective_policy(mut self, policy: CollectivePolicy) -> Self {
-        self.coll_policy = policy;
-        self
-    }
-
-    /// Sets the stack size (bytes) of the per-rank OS threads spawned by
-    /// [`Universe::run`]. Large worlds (1k+ ranks) exhaust address space
-    /// quickly at the platform-default 8 MiB per thread; the rank
-    /// closures used by the benches and tests run comfortably in a few
-    /// hundred KiB. Defaults to the `MPISIM_STACK_SIZE` environment
-    /// variable (bytes) when set, else the platform default.
-    #[deprecated(since = "0.9.0", note = "use UniverseConfig::stack_size")]
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = Some(bytes);
-        self
-    }
-
-    /// Sets the eager/rendezvous protocol split for subsequent runs:
-    /// payloads of at most `bytes` travel inline through the eager lanes,
-    /// larger ones lease an arena buffer. Clamped to [`INLINE_CAP`]
-    /// (the envelope's inline slot capacity). Defaults to the
-    /// `MPISIM_EAGER_LIMIT` environment variable (bytes) when set, else
-    /// [`DEFAULT_EAGER_LIMIT`].
-    #[deprecated(since = "0.9.0", note = "use UniverseConfig::eager_limit")]
-    pub fn with_eager_limit(mut self, bytes: usize) -> Self {
-        self.eager_limit = Some(bytes.min(INLINE_CAP));
-        self
-    }
-
-    /// Enables virtual-time tracing for subsequent runs: compute spans,
-    /// sends, receives (with their idle-wait split) and higher-level
-    /// events are recorded into a shared [`Tracer`] and returned in
-    /// [`RunReport::trace`].
-    #[deprecated(since = "0.9.0", note = "use UniverseConfig::tracing")]
-    pub fn with_tracing(mut self) -> Self {
-        self.tracer = Some(Arc::new(Tracer::new()));
-        self
-    }
-
     /// The installed tracer, if tracing is enabled.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.tracer.as_ref()

@@ -6,7 +6,8 @@
 //!   left fold regardless of algorithm (proptests with mixed-magnitude
 //!   values so f64 re-association cannot hide);
 //! * virtual-time predictions match measured virtual time exactly under
-//!   parallel links (the pricing-parity claim of DESIGN.md §10);
+//!   parallel links (the pricing-parity claim of DESIGN.md §10), and for
+//!   the single-schedule kinds under every contention model;
 //! * a node failure mid-collective propagates as [`MpiError::NodeFailed`]
 //!   on every rank — no hangs;
 //! * engine calls emit per-algorithm [`TraceKind::Collective`] spans;
@@ -14,9 +15,12 @@
 //!   [`MpiError::InvalidCounts`], not a panic or a hang.
 
 use hetsim::trace::TraceKind;
-use hetsim::{Cluster, ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
+use hetsim::{
+    Cluster, ClusterBuilder, ContentionModel, FaultEvent, FaultPlan, Link, NodeId, Protocol,
+    SimTime,
+};
 use mpisim::{
-    CollectiveAlgo, CollectiveKind, CollectivePolicy, MpiError, ReduceOp, Universe,
+    CollectiveAlgo, CollectiveKind, CollectivePolicy, FixedKind, MpiError, ReduceOp, Universe,
     UniverseConfig,
 };
 use perfmodel::collective::algos_for;
@@ -282,6 +286,70 @@ fn predictions_match_measured_virtual_time_under_parallel_links() {
     }
 }
 
+/// Pricing parity for the single-schedule kinds: `predict_fixed` equals
+/// the measured makespan bit for bit under every contention model, on a
+/// network where every pair has its own latency and bandwidth.
+#[test]
+fn fixed_kinds_price_exactly_under_every_contention_model() {
+    let n = 40; // above the eager limit, so rendezvous payloads are priced too
+    for contention in [
+        ContentionModel::ParallelLinks,
+        ContentionModel::SerializedNic,
+        ContentionModel::SharedBus,
+    ] {
+        for p in [1, 2, 5, 8] {
+            let mut b = ClusterBuilder::new();
+            for i in 0..p {
+                b = b.node(format!("h{i}"), 50.0 + 10.0 * i as f64);
+            }
+            b = b.all_to_all(Link::new(1e-4, 1e7, Protocol::Tcp));
+            for i in 0..p {
+                for j in i + 1..p {
+                    let k = (i * p + j) as f64;
+                    let link = Link::new(5e-5 + 7e-6 * k, 1e6 * (1.0 + k), Protocol::Tcp);
+                    b = b.link_between(i, j, link);
+                }
+            }
+            let c = Arc::new(b.contention(contention).build());
+            for root in [0, p - 1] {
+                for kind in FixedKind::ALL {
+                    let report = Universe::new(c.clone()).run(move |proc| {
+                        let world = proc.world();
+                        let counts = vec![n; kind.blocks(p)];
+                        let predicted = world.predict_fixed(kind, root, &counts, 8).unwrap();
+                        let v = vec![1.5f64; n];
+                        let is_root = world.rank() == root;
+                        match kind {
+                            FixedKind::Barrier => world.barrier().unwrap(),
+                            FixedKind::Bcastv => {
+                                let mut buf = if is_root { v } else { Vec::new() };
+                                world.bcast(&mut buf, root).unwrap();
+                            }
+                            FixedKind::Gatherv => drop(world.gather(&v, root).unwrap()),
+                            FixedKind::Scatterv => {
+                                let parts = vec![v; p];
+                                world.scatter(is_root.then_some(&parts[..]), root).unwrap();
+                            }
+                            FixedKind::Alltoallv => drop(world.alltoall(&vec![v; p]).unwrap()),
+                            FixedKind::Scan => drop(world.scan_f64(&v, ReduceOp::Sum).unwrap()),
+                            FixedKind::Exscan => drop(world.exscan_f64(&v, ReduceOp::Sum).unwrap()),
+                        }
+                        predicted
+                    });
+                    assert_eq!(
+                        report.results[0].to_bits(),
+                        report.makespan.as_secs().to_bits(),
+                        "{} p={p} root={root} {contention:?}: predicted {} vs measured {}",
+                        kind.name(),
+                        report.results[0],
+                        report.makespan.as_secs()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Allgather predictions price the *total* payload; the driver passes
 /// `contrib.len() * p`, so use a multiple of p above. This test pins the
 /// selector itself: Auto must pick the predicted-cheapest and beat linear
@@ -458,10 +526,10 @@ fn mismatched_buffer_lengths_error_instead_of_hanging() {
         let contrib = vec![1.0f64; if world.rank() == 0 { 8 } else { 5 }];
         world.allreduce_eq_f64_with(CollectiveAlgo::Linear, &contrib, ReduceOp::Sum)
     });
-    assert!(report.results.iter().any(|r| matches!(
-        r,
-        Err(MpiError::InvalidCounts(_))
-    )));
+    assert!(report
+        .results
+        .iter()
+        .any(|r| matches!(r, Err(MpiError::InvalidCounts(_)))));
     assert!(report.results.iter().all(|r| r.is_err()));
 }
 
@@ -512,9 +580,7 @@ fn bad_root_is_invalid_rank_not_a_panic() {
         let mut buf = [1.0f64; 4];
         seen.push(as_invalid(world.bcast_into(&mut buf, bad).unwrap_err()));
         seen.push(as_invalid(
-            world
-                .reduce_eq_f64(&buf, ReduceOp::Sum, bad)
-                .unwrap_err(),
+            world.reduce_eq_f64(&buf, ReduceOp::Sum, bad).unwrap_err(),
         ));
         seen.push(as_invalid(
             world

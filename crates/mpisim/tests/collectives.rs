@@ -2,6 +2,7 @@
 
 use hetsim::{Cluster, ClusterBuilder, Link, Protocol};
 use mpisim::{ReduceOp, Universe};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn cluster(n: usize) -> Arc<Cluster> {
@@ -131,7 +132,7 @@ fn reduce_sum_and_max_at_root() {
     let report = u.run(move |p| {
         let world = p.world();
         let me = world.rank() as f64;
-        let sum = world.reduce_f64(&[me, 1.0], ReduceOp::Sum, 3).unwrap();
+        let sum = world.reduce_eq_f64(&[me, 1.0], ReduceOp::Sum, 3).unwrap();
         let max = world.reduce_one_f64(me, ReduceOp::Max, 3).unwrap();
         (sum, max)
     });
@@ -257,7 +258,9 @@ fn exscan_rank_zero_gets_identity() {
     let report = u.run(|p| {
         let world = p.world();
         let prod = world.exscan_f64(&[2.0], ReduceOp::Prod).unwrap()[0];
-        let min = world.exscan_f64(&[world.rank() as f64], ReduceOp::Min).unwrap()[0];
+        let min = world
+            .exscan_f64(&[world.rank() as f64], ReduceOp::Min)
+            .unwrap()[0];
         (prod, min)
     });
     assert_eq!(report.results[0].0, 1.0); // Prod identity
@@ -294,4 +297,173 @@ fn reduce_scatter_block_rejects_wrong_length() {
             .unwrap_err();
         assert!(matches!(err, mpisim::MpiError::InvalidCounts(_)));
     });
+}
+
+// ----- prefix and reduce-scatter reductions against serial references ----
+
+fn op_strategy() -> BoxedStrategy<ReduceOp> {
+    prop_oneof![
+        Just(ReduceOp::Sum),
+        Just(ReduceOp::Prod),
+        Just(ReduceOp::Max),
+        Just(ReduceOp::Min),
+    ]
+}
+
+// Mixed magnitudes so that f64 rounding exposes any re-association:
+// (a + b) + c and a + (b + c) differ in the low bits for these ranges.
+fn value_strategy() -> BoxedStrategy<f64> {
+    prop_oneof![-1e3..1e3f64, 1e9..1e12f64, -1e-6..1e-6f64]
+}
+
+/// The serial reference for `scan`: the left fold in strict rank order
+/// that the linear chain performs. Returned per rank; bit-exact.
+fn serial_inclusive_prefixes(contribs: &[Vec<f64>], op: ReduceOp) -> Vec<Vec<f64>> {
+    let mut out: Vec<Vec<f64>> = Vec::with_capacity(contribs.len());
+    for (i, c) in contribs.iter().enumerate() {
+        let acc = if i == 0 {
+            c.clone()
+        } else {
+            let mut merged = out[i - 1].clone();
+            op.fold_f64(&mut merged, c);
+            merged
+        };
+        out.push(acc);
+    }
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn chunked(flat: &[f64], len: usize) -> Vec<Vec<f64>> {
+    if len == 0 {
+        // Zero-length contributions: one empty vector per rank.
+        return vec![Vec::new(); flat.len().max(1)];
+    }
+    flat.chunks(len).map(<[f64]>::to_vec).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // `scan` must reproduce the serial left fold *bit for bit*: the
+    // chain is ordered, and floating-point addition is not associative,
+    // so any re-association inside the implementation shows up here.
+    #[test]
+    fn scan_matches_serial_left_fold_bitwise(
+        n in 1usize..7,
+        len in 1usize..4,
+        op in op_strategy(),
+        flat in proptest::collection::vec(value_strategy(), 18),
+    ) {
+        let contribs: Vec<Vec<f64>> = chunked(&flat[..n * len], len);
+        let expect = serial_inclusive_prefixes(&contribs, op);
+        let u = Universe::new(cluster(n));
+        let per_rank = contribs.clone();
+        let report = u.run(move |p| {
+            let world = p.world();
+            world.scan_f64(&per_rank[world.rank()], op).unwrap()
+        });
+        for (rank, got) in report.results.iter().enumerate() {
+            prop_assert_eq!(bits(got), bits(&expect[rank]), "rank {}", rank);
+        }
+    }
+
+    // `exscan` is the scan shifted by one rank: rank 0 receives the
+    // operation's identity, rank i > 0 receives the inclusive prefix of
+    // ranks 0..i — again bit-exact against the serial left fold.
+    #[test]
+    fn exscan_is_scan_shifted_by_one_rank(
+        n in 1usize..7,
+        len in 1usize..4,
+        op in op_strategy(),
+        flat in proptest::collection::vec(value_strategy(), 18),
+    ) {
+        let contribs: Vec<Vec<f64>> = chunked(&flat[..n * len], len);
+        let expect = serial_inclusive_prefixes(&contribs, op);
+        let u = Universe::new(cluster(n));
+        let per_rank = contribs.clone();
+        let report = u.run(move |p| {
+            let world = p.world();
+            world.exscan_f64(&per_rank[world.rank()], op).unwrap()
+        });
+        for (rank, got) in report.results.iter().enumerate() {
+            if rank == 0 {
+                prop_assert_eq!(got.len(), len);
+                for x in got {
+                    prop_assert_eq!(x.to_bits(), op.identity_f64().to_bits());
+                }
+            } else {
+                prop_assert_eq!(bits(got), bits(&expect[rank - 1]), "rank {}", rank);
+            }
+        }
+    }
+
+    // `reduce_scatter_block` over i64, where every op is exact: the
+    // concatenation of the per-rank blocks must equal the elementwise
+    // reduction of all contributions, regardless of the tree order the
+    // binomial reduce uses. Values stay small so Prod cannot overflow.
+    #[test]
+    fn reduce_scatter_block_matches_serial_reduction(
+        n in 1usize..7,
+        block in 1usize..4,
+        op in op_strategy(),
+        flat in proptest::collection::vec(-4i64..5, 108),
+    ) {
+        let contribs: Vec<Vec<i64>> = flat[..n * n * block]
+            .chunks(n * block)
+            .map(<[i64]>::to_vec)
+            .collect();
+        let mut expect = contribs[0].clone();
+        for c in &contribs[1..] {
+            op.fold_i64(&mut expect, c);
+        }
+        let u = Universe::new(cluster(n));
+        let per_rank = contribs.clone();
+        let report = u.run(move |p| {
+            let world = p.world();
+            world
+                .reduce_scatter_block_i64(&per_rank[world.rank()], block, op)
+                .unwrap()
+        });
+        let mut rejoined = Vec::new();
+        for got in &report.results {
+            prop_assert_eq!(got.len(), block);
+            rejoined.extend_from_slice(got);
+        }
+        prop_assert_eq!(rejoined, expect);
+    }
+
+    // A single-rank communicator must make every prefix/reduce-scatter
+    // collective the identity operation on the local contribution.
+    #[test]
+    fn single_rank_collectives_are_local_identities(
+        len in 0usize..5,
+        op in op_strategy(),
+        flat in proptest::collection::vec(value_strategy(), 4),
+    ) {
+        let contrib = flat[..len].to_vec();
+        let u = Universe::new(cluster(1));
+        let c = contrib.clone();
+        let report = u.run(move |p| {
+            let world = p.world();
+            let scan = world.scan_f64(&c, op).unwrap();
+            let exscan = world.exscan_f64(&c, op).unwrap();
+            let rsb = world.reduce_scatter_block_f64(&c, c.len(), op);
+            (scan, exscan, rsb)
+        });
+        let (scan, exscan, rsb) = &report.results[0];
+        prop_assert_eq!(bits(scan), bits(&contrib));
+        for x in exscan {
+            prop_assert_eq!(x.to_bits(), op.identity_f64().to_bits());
+        }
+        if len > 0 {
+            prop_assert_eq!(bits(rsb.as_ref().unwrap()), bits(&contrib));
+        } else {
+            // A zero block size is a caller error, not a panic.
+            prop_assert!(matches!(rsb, Err(mpisim::MpiError::InvalidCounts(_))));
+        }
+    }
 }

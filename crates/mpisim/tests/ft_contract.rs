@@ -4,8 +4,9 @@
 //!   rank returns either the *complete, bit-exact* result (identical to
 //!   the fault-free reference fold / source buffer) or a typed
 //!   fault-shaped error ([`MpiError::NodeFailed`] and friends) — never a
-//!   torn buffer, never a hang, for every engine algorithm and for crash
-//!   times before, inside and after the collective's virtual window;
+//!   torn buffer, never a hang, for every engine algorithm (and the
+//!   single-schedule barrier, gather and scatter) and for crash times
+//!   before, inside and after the collective's virtual window;
 //! * **Agreement unanimity** — the post-collective ULFM-style
 //!   [`Comm::agree`] round yields the *same* verdict on every survivor:
 //!   identical flag, identical failed set (a subset of the actually
@@ -19,7 +20,7 @@
 //! [`Comm::agree`]: mpisim::Comm::agree
 
 use hetsim::{ClusterBuilder, FaultEvent, FaultPlan, Link, NodeId, Protocol, SimTime};
-use mpisim::{Agreement, CollectiveAlgo, CollectiveKind, MpiError, ReduceOp, Universe};
+use mpisim::{Agreement, CollectiveAlgo, CollectiveKind, FixedKind, MpiError, ReduceOp, Universe};
 use perfmodel::collective::algos_for;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,33 +79,46 @@ fn reference_fold(p: usize, elems: usize, op: ReduceOp) -> Vec<f64> {
     acc
 }
 
-/// The bit-exact payload rank `r` must observe on success, or `None`
-/// where the kind leaves that rank without output (non-root reduce).
-fn expected_payload(
-    kind: CollectiveKind,
-    p: usize,
-    elems: usize,
-    root: usize,
-    r: usize,
-) -> Option<Vec<f64>> {
-    match kind {
-        CollectiveKind::Bcast => Some(contrib(root, elems)),
-        CollectiveKind::Reduce => {
-            (r == root).then(|| reference_fold(p, elems, ReduceOp::Sum))
-        }
-        CollectiveKind::Allreduce => Some(reference_fold(p, elems, ReduceOp::Sum)),
-        CollectiveKind::Allgather => {
-            Some((0..p).flat_map(|s| contrib(s, elems)).collect())
+/// One collective under test: an engine kind with a pinned algorithm, or
+/// a single-schedule kind.
+#[derive(Clone, Copy, Debug)]
+enum Coll {
+    Engine(CollectiveKind, CollectiveAlgo),
+    Fixed(FixedKind),
+}
+
+impl Coll {
+    fn name(self) -> String {
+        match self {
+            Coll::Engine(kind, algo) => format!("{}/{}", kind.name(), algo.name()),
+            Coll::Fixed(kind) => kind.name().to_string(),
         }
     }
 }
 
-/// Runs `kind` with a pinned `algo` on every rank of a crashy cluster,
-/// following it with an agreement round on the collective's outcome.
-/// Returns the per-rank observations and the run's virtual makespan.
+/// The bit-exact payload rank `r` must observe on success, or `None`
+/// where the kind leaves that rank without output (non-root reduce or
+/// gather, the barrier).
+fn expected_payload(coll: Coll, p: usize, elems: usize, root: usize, r: usize) -> Option<Vec<f64>> {
+    let everyone = || (0..p).flat_map(|s| contrib(s, elems)).collect();
+    match coll {
+        Coll::Engine(CollectiveKind::Bcast, _) => Some(contrib(root, elems)),
+        Coll::Engine(CollectiveKind::Reduce, _) => {
+            (r == root).then(|| reference_fold(p, elems, ReduceOp::Sum))
+        }
+        Coll::Engine(CollectiveKind::Allreduce, _) => Some(reference_fold(p, elems, ReduceOp::Sum)),
+        Coll::Engine(CollectiveKind::Allgather, _) => Some(everyone()),
+        Coll::Fixed(FixedKind::Gatherv) => (r == root).then(everyone),
+        Coll::Fixed(FixedKind::Scatterv) => Some(contrib(r, elems)),
+        Coll::Fixed(_) => None,
+    }
+}
+
+/// Runs `coll` on every rank of a crashy cluster, following it with an
+/// agreement round on the collective's outcome. Returns the per-rank
+/// observations and the run's virtual makespan.
 fn run_crashy(
-    kind: CollectiveKind,
-    algo: CollectiveAlgo,
+    coll: Coll,
     p: usize,
     elems: usize,
     root: usize,
@@ -115,48 +129,74 @@ fn run_crashy(
     let report = u.run(move |proc| -> Outcome {
         let world = proc.world();
         let r = world.rank();
-        let coll = match kind {
-            CollectiveKind::Bcast => {
+        let out = match coll {
+            Coll::Engine(CollectiveKind::Bcast, algo) => {
                 let mut buf = if r == root {
                     contrib(root, elems)
                 } else {
                     vec![0.0; elems]
                 };
-                world.bcast_into_with(algo, &mut buf, root).map(|()| Some(buf))
+                world
+                    .bcast_into_with(algo, &mut buf, root)
+                    .map(|()| Some(buf))
             }
-            CollectiveKind::Reduce => {
+            Coll::Engine(CollectiveKind::Reduce, algo) => {
                 world.reduce_eq_f64_with(algo, &contrib(r, elems), ReduceOp::Sum, root)
             }
-            CollectiveKind::Allreduce => world
+            Coll::Engine(CollectiveKind::Allreduce, algo) => world
                 .allreduce_eq_f64_with(algo, &contrib(r, elems), ReduceOp::Sum)
                 .map(Some),
-            CollectiveKind::Allgather => {
+            Coll::Engine(CollectiveKind::Allgather, algo) => {
                 world.allgather_eq_with(algo, &contrib(r, elems)).map(Some)
             }
+            Coll::Fixed(FixedKind::Barrier) => world.barrier().map(|()| None),
+            Coll::Fixed(FixedKind::Gatherv) => world
+                .gather(&contrib(r, elems), root)
+                .map(|parts| parts.map(|parts| parts.concat())),
+            Coll::Fixed(FixedKind::Scatterv) => {
+                let parts: Vec<Vec<f64>> = (0..p).map(|s| contrib(s, elems)).collect();
+                world
+                    .scatter((r == root).then_some(&parts[..]), root)
+                    .map(Some)
+            }
+            Coll::Fixed(kind) => unreachable!("{} is not under test", kind.name()),
         };
-        let agreement = world.agree(coll.is_ok());
-        (coll, agreement)
+        let agreement = world.agree(out.is_ok());
+        (out, agreement)
     });
     (report.results, report.makespan)
 }
 
-/// Every `(kind, algo)` pair the engine can run over `p` ranks.
-fn all_pairs(p: usize) -> Vec<(CollectiveKind, CollectiveAlgo)> {
-    [
-        CollectiveKind::Bcast,
-        CollectiveKind::Reduce,
-        CollectiveKind::Allreduce,
-        CollectiveKind::Allgather,
-    ]
-    .into_iter()
-    .flat_map(|kind| algos_for(kind, p).into_iter().map(move |a| (kind, a)))
-    .collect()
+const ENGINE_KINDS: [CollectiveKind; 4] = [
+    CollectiveKind::Bcast,
+    CollectiveKind::Reduce,
+    CollectiveKind::Allreduce,
+    CollectiveKind::Allgather,
+];
+
+const FIXED_KINDS: [FixedKind; 3] = [FixedKind::Barrier, FixedKind::Gatherv, FixedKind::Scatterv];
+
+/// Every algorithm the engine can run `kind` with over `p` ranks.
+fn engine_colls(kind: CollectiveKind, p: usize) -> impl Iterator<Item = Coll> {
+    algos_for(kind, p)
+        .into_iter()
+        .map(move |a| Coll::Engine(kind, a))
+}
+
+/// Every `(kind, algo)` pair the engine can run over `p` ranks, then the
+/// single-schedule barrier, gather and scatter.
+fn all_colls(p: usize) -> Vec<Coll> {
+    ENGINE_KINDS
+        .into_iter()
+        .flat_map(|kind| engine_colls(kind, p))
+        .chain(FIXED_KINDS.map(Coll::Fixed))
+        .collect()
 }
 
 /// Checks the full contract on one run's observations; `label` prefixes
 /// every assertion message with the scenario coordinates.
 fn assert_contract(
-    kind: CollectiveKind,
+    coll: Coll,
     p: usize,
     elems: usize,
     root: usize,
@@ -165,10 +205,10 @@ fn assert_contract(
     label: &str,
 ) {
     // Survivor contract: bit-exact payload or fault-shaped error.
-    for (r, (coll, _)) in outcomes.iter().enumerate() {
-        match coll {
+    for (r, (out, _)) in outcomes.iter().enumerate() {
+        match out {
             Ok(got) => {
-                let want = expected_payload(kind, p, elems, root, r);
+                let want = expected_payload(coll, p, elems, root, r);
                 let bits = |v: &Option<Vec<f64>>| -> Option<Vec<u64>> {
                     v.as_ref().map(|v| v.iter().map(|x| x.to_bits()).collect())
                 };
@@ -242,16 +282,12 @@ const CRASH_TIMES: [f64; 4] = [1e-7, 5e-4, 5e-3, 10.0];
 fn every_algorithm_meets_the_contract_across_crash_timings() {
     for p in [4usize, 6] {
         let root = p - 2;
-        for (kind, algo) in all_pairs(p) {
+        for coll in all_colls(p) {
             for crash in [0, root] {
                 for at in CRASH_TIMES {
-                    let label = format!(
-                        "{}/{} p={p} crash={crash}@{at}",
-                        kind.name(),
-                        algo.name()
-                    );
-                    let (outcomes, _) = run_crashy(kind, algo, p, 8, root, crash, at);
-                    assert_contract(kind, p, 8, root, crash, &outcomes, &label);
+                    let label = format!("{} p={p} crash={crash}@{at}", coll.name());
+                    let (outcomes, _) = run_crashy(coll, p, 8, root, crash, at);
+                    assert_contract(coll, p, 8, root, crash, &outcomes, &label);
                 }
             }
         }
@@ -263,13 +299,13 @@ fn a_late_crash_leaves_the_collective_and_agreement_clean() {
     // Crash far past the window: the collective and the agreement round
     // both complete on every rank, unanimously successful.
     for p in [4usize, 6] {
-        for (kind, algo) in all_pairs(p) {
-            let (outcomes, _) = run_crashy(kind, algo, p, 8, 0, p - 1, 1e6);
-            for (r, (coll, agreement)) in outcomes.iter().enumerate() {
-                assert!(coll.is_ok(), "rank {r}: {:?}", coll);
-                let a = agreement.as_ref().unwrap_or_else(|e| {
-                    panic!("{}/{} rank {r}: {e:?}", kind.name(), algo.name())
-                });
+        for coll in all_colls(p) {
+            let (outcomes, _) = run_crashy(coll, p, 8, 0, p - 1, 1e6);
+            for (r, (out, agreement)) in outcomes.iter().enumerate() {
+                assert!(out.is_ok(), "rank {r}: {:?}", out);
+                let a = agreement
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{} rank {r}: {e:?}", coll.name()));
                 assert!(a.flag && a.failed.is_empty(), "rank {r}: {a:?}");
             }
         }
@@ -279,11 +315,11 @@ fn a_late_crash_leaves_the_collective_and_agreement_clean() {
 #[test]
 fn the_same_fault_plan_replays_the_same_surface_under_parallel_links() {
     for p in [4usize, 6] {
-        for (kind, algo) in all_pairs(p) {
+        for coll in all_colls(p) {
             for at in [5e-4, 5e-3] {
-                let (a, ma) = run_crashy(kind, algo, p, 8, 0, p - 1, at);
-                let (b, mb) = run_crashy(kind, algo, p, 8, 0, p - 1, at);
-                let label = format!("{}/{} p={p} at={at}", kind.name(), algo.name());
+                let (a, ma) = run_crashy(coll, p, 8, 0, p - 1, at);
+                let (b, mb) = run_crashy(coll, p, 8, 0, p - 1, at);
+                let label = format!("{} p={p} at={at}", coll.name());
                 assert_eq!(a, b, "{label}: error surface diverged between runs");
                 assert_eq!(ma, mb, "{label}: makespan diverged between runs");
             }
@@ -295,37 +331,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random sizes, roots, crash ranks and timings: the contract holds
-    /// for every selectable algorithm of a random kind, and the survivor
-    /// set is identical across a replay.
+    /// for every selectable algorithm of a random engine kind, or for a
+    /// random one of barrier, gather and scatter, and the survivor set is
+    /// identical across a replay.
     #[test]
     fn random_crashes_never_break_the_contract(
         p in 3usize..8,
         elems in 1usize..24,
         root_pick in 0usize..100,
         crash_pick in 0usize..100,
-        kind_pick in 0usize..4,
+        kind_pick in 0usize..ENGINE_KINDS.len() + FIXED_KINDS.len(),
         at_exp in -6.0f64..1.0,
     ) {
         let root = root_pick % p;
         let crash = crash_pick % p;
         let at = 10f64.powf(at_exp);
-        let kind = [
-            CollectiveKind::Bcast,
-            CollectiveKind::Reduce,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Allgather,
-        ][kind_pick];
-        for algo in algos_for(kind, p) {
-            let label = format!(
-                "{}/{} p={p} root={root} crash={crash}@{at:.2e}",
-                kind.name(),
-                algo.name()
-            );
-            let (outcomes, makespan) =
-                run_crashy(kind, algo, p, elems, root, crash, at);
-            assert_contract(kind, p, elems, root, crash, &outcomes, &label);
-            let (replay, replay_makespan) =
-                run_crashy(kind, algo, p, elems, root, crash, at);
+        let colls: Vec<Coll> = match ENGINE_KINDS.get(kind_pick) {
+            Some(&kind) => engine_colls(kind, p).collect(),
+            None => vec![Coll::Fixed(FIXED_KINDS[kind_pick - ENGINE_KINDS.len()])],
+        };
+        for coll in colls {
+            let label = format!("{} p={p} root={root} crash={crash}@{at:.2e}", coll.name());
+            let (outcomes, makespan) = run_crashy(coll, p, elems, root, crash, at);
+            assert_contract(coll, p, elems, root, crash, &outcomes, &label);
+            let (replay, replay_makespan) = run_crashy(coll, p, elems, root, crash, at);
             let survivors = |o: &[Outcome]| -> Vec<bool> {
                 o.iter().map(|(c, _)| c.is_ok()).collect()
             };

@@ -3,7 +3,7 @@
 //! logarithmic, chains are linear, contention serialises).
 
 use hetsim::{Cluster, ClusterBuilder, ContentionModel, Link, Protocol};
-use mpisim::{ReduceOp, Universe};
+use mpisim::{CollectiveAlgo, ReduceOp, Universe};
 use std::sync::Arc;
 
 const LAT: f64 = 1e-3;
@@ -142,7 +142,9 @@ fn reduce_and_bcast_have_symmetric_cost() {
     let reduce_t = u
         .run(|p| {
             let world = p.world();
-            world.reduce_one_f64(1.0, ReduceOp::Sum, 0).unwrap();
+            world
+                .reduce_eq_f64_with(CollectiveAlgo::Binomial, &[1.0], ReduceOp::Sum, 0)
+                .unwrap();
             world.clock().now().as_secs()
         })
         .makespan

@@ -59,6 +59,7 @@ impl CollectiveKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CollectiveAlgo {
     /// Flat root-fanout (or direct exchange): every transfer in one round.
+    /// For [`FixedKind::Scan`] and [`FixedKind::Exscan`], the rank chain.
     Linear,
     /// Binomial tree: ⌈log₂ p⌉ rounds of doubling fan-out (bcast) or
     /// raw-contribution gather (reduce).
@@ -216,6 +217,164 @@ pub fn schedule(
         CollectiveKind::Allreduce => allreduce_rounds(algo, p, n),
         CollectiveKind::Allgather => allgather_rounds(algo, p, n),
     })
+}
+
+/// A collective with exactly one schedule: the engine runs it whatever the
+/// collective policy, and it never gets a hierarchical plan. These are the
+/// `Comm` collectives whose receivers may not be told the counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FixedKind {
+    /// Synchronisation (`MPI_Barrier`): empty messages up a binomial tree
+    /// to rank 0, then down the [`FixedKind::Bcastv`] tree.
+    Barrier,
+    /// Broadcast whose non-roots learn the length from the message: the
+    /// binomial tree in which a relative rank's parent clears its lowest
+    /// set bit, fanning out largest subtree first.
+    Bcastv,
+    /// Gather of per-rank counts to a root (`MPI_Gatherv`), rank order.
+    Gatherv,
+    /// Scatter of per-rank counts from a root (`MPI_Scatterv`), rank order.
+    Scatterv,
+    /// Personalised all-to-all exchange (`MPI_Alltoallv`).
+    Alltoallv,
+    /// Inclusive prefix reduction (`MPI_Scan`) along the rank chain.
+    Scan,
+    /// Exclusive prefix reduction (`MPI_Exscan`) along the rank chain.
+    Exscan,
+}
+
+impl FixedKind {
+    /// Every fixed kind.
+    pub const ALL: [FixedKind; 7] = [
+        FixedKind::Barrier,
+        FixedKind::Bcastv,
+        FixedKind::Gatherv,
+        FixedKind::Scatterv,
+        FixedKind::Alltoallv,
+        FixedKind::Scan,
+        FixedKind::Exscan,
+    ];
+
+    /// Stable lower-case label.
+    pub fn name(self) -> &'static str {
+        match self {
+            FixedKind::Barrier => "barrier",
+            FixedKind::Bcastv => "bcastv",
+            FixedKind::Gatherv => "gatherv",
+            FixedKind::Scatterv => "scatterv",
+            FixedKind::Alltoallv => "alltoallv",
+            FixedKind::Scan => "scan",
+            FixedKind::Exscan => "exscan",
+        }
+    }
+
+    /// The algorithm the one schedule is an instance of (for traces).
+    pub fn algo(self) -> CollectiveAlgo {
+        match self {
+            FixedKind::Barrier | FixedKind::Bcastv => CollectiveAlgo::Binomial,
+            _ => CollectiveAlgo::Linear,
+        }
+    }
+
+    /// How many blocks the kind moves over `p` ranks (see
+    /// [`FixedKind::schedule`]).
+    pub fn blocks(self, p: usize) -> usize {
+        match self {
+            FixedKind::Barrier => 0,
+            FixedKind::Bcastv | FixedKind::Scan | FixedKind::Exscan => 1,
+            FixedKind::Gatherv | FixedKind::Scatterv => p,
+            FixedKind::Alltoallv => p * p,
+        }
+    }
+
+    /// The schedule over `p` ranks rooted at `root` (ignored by rootless
+    /// kinds) for explicit block counts; `None` for a bad root or count
+    /// arity (`counts.len()` must be [`FixedKind::blocks`]).
+    ///
+    /// Every transfer carries exactly one block, and `counts[b]` is block
+    /// `b`'s element count: rank `b`'s contribution for gatherv, rank
+    /// `b`'s part for scatterv, the block from rank `b / p` to rank
+    /// `b % p` for alltoallv, and the single payload for bcastv, scan and
+    /// exscan. A transfer's range is its block's place in the
+    /// concatenation of all blocks; the barrier moves empty messages.
+    ///
+    /// Which ranks talk, and in what order, never depends on the counts,
+    /// and empty blocks are still sent: the transport charges a
+    /// zero-byte message its latency, and a rank that is not told a count
+    /// can build the same schedule with a placeholder and take the length
+    /// from the message.
+    pub fn schedule(self, p: usize, root: usize, counts: &[usize]) -> Option<Vec<Vec<Xfer>>> {
+        if root >= p || counts.len() != self.blocks(p) {
+            return None;
+        }
+        let mut displ = Vec::with_capacity(counts.len() + 1);
+        displ.push(0);
+        for &c in counts {
+            displ.push(displ[displ.len() - 1] + c);
+        }
+        let block = |src: usize, dst: usize, b: usize| Xfer {
+            src,
+            dst,
+            lo: displ[b],
+            hi: displ[b + 1],
+        };
+        let empty = |src: usize, dst: usize| Xfer {
+            src,
+            dst,
+            lo: 0,
+            hi: 0,
+        };
+        Some(match self {
+            FixedKind::Barrier => {
+                // Binomial fan-in: a rank whose lowest set bit is `mask`
+                // reports to `rank - mask` once its subtree has.
+                let mut rounds = Vec::new();
+                let mut mask = 1;
+                while mask < p {
+                    rounds.push((mask..p).step_by(2 * mask).map(|r| empty(r, r - mask)).collect());
+                    mask <<= 1;
+                }
+                rounds.extend(bcastv_rounds(p, 0, empty));
+                rounds
+            }
+            FixedKind::Bcastv => bcastv_rounds(p, root, |src, dst| block(src, dst, 0)),
+            FixedKind::Gatherv => vec![(0..p)
+                .filter(|&src| src != root)
+                .map(|src| block(src, root, src))
+                .collect()],
+            FixedKind::Scatterv => vec![(0..p)
+                .filter(|&dst| dst != root)
+                .map(|dst| block(root, dst, dst))
+                .collect()],
+            FixedKind::Alltoallv => vec![(0..p)
+                .flat_map(|src| (0..p).filter(move |&dst| dst != src).map(move |dst| (src, dst)))
+                .map(|(src, dst)| block(src, dst, src * p + dst))
+                .collect()],
+            FixedKind::Scan | FixedKind::Exscan => {
+                (1..p).map(|dst| vec![block(dst - 1, dst, 0)]).collect()
+            }
+        })
+    }
+}
+
+/// The [`FixedKind::Bcastv`] tree rooted at `root`: in the round of
+/// mask `m` (highest first), every relative rank that is a multiple of
+/// `2m` sends to relative rank `+ m`.
+fn bcastv_rounds(p: usize, root: usize, xfer: impl Fn(usize, usize) -> Xfer) -> Vec<Vec<Xfer>> {
+    let abs = |rel: usize| (rel + root) % p;
+    let mut rounds = Vec::new();
+    let mut mask = p.next_power_of_two() >> 1;
+    while mask > 0 {
+        rounds.push(
+            (0..p)
+                .step_by(2 * mask)
+                .filter(|rel| rel + mask < p)
+                .map(|rel| xfer(abs(rel), abs(rel + mask)))
+                .collect(),
+        );
+        mask >>= 1;
+    }
+    rounds
 }
 
 fn bcast_rounds(algo: CollectiveAlgo, p: usize, root: usize, n: usize) -> Vec<Vec<Xfer>> {

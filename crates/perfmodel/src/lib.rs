@@ -67,7 +67,7 @@ pub mod value;
 pub use analysis::{analyze, CoverageSink, Finding, ModelReport};
 pub use collective::{
     algos_for, chunk_bounds, eligible, price, schedule, select, CollectiveAlgo, CollectiveKind,
-    LinkSharing, Xfer,
+    FixedKind, LinkSharing, Xfer,
 };
 pub use builder::{BuiltModel, ModelBuilder};
 pub use compile::{CostProgram, DeltaBaseline, PairCost, PriceScratch};
