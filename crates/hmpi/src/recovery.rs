@@ -155,10 +155,10 @@ impl RecoveryPolicy {
             let verdict = match comm.agree(out.is_ok()) {
                 Ok(a) => a.flag && a.failed.is_empty(),
                 // A Deadlock verdict on an agreement waiter means the round
-                // wedged on live members still stuck inside the failed
-                // attempt. The quiescence classifier unsticks them in the
-                // same terminal round, so they are about to fail and deposit
-                // `false` — the round's outcome is a foregone failure, and
+                // wedged on live members that will never deposit (members
+                // still stuck inside the failed attempt are released by the
+                // quiescence classifier instead, and the round waits for
+                // them). The round's outcome is a foregone failure, and
                 // treating it as one keeps every member on the rebuild path.
                 Err(MpiError::Deadlock { .. }) => false,
                 Err(e) => {

@@ -207,8 +207,7 @@ impl Comm {
                             verdict = Some(MpiError::NodeFailed { world_rank: w });
                         }
                         RankState::Terminated => {
-                            verdict = verdict
-                                .or(Some(MpiError::PeerTerminated { world_rank: w }));
+                            verdict = verdict.or(Some(MpiError::PeerTerminated { world_rank: w }));
                         }
                     }
                 }

@@ -401,9 +401,9 @@ impl Comm {
     /// Only `src`'s own death aborts the wait, so the failure surface
     /// follows schedule edges deterministically instead of racing a
     /// real-time failure detector. A [`TAG_POISON`] message decodes to
-    /// [`MpiError::NodeFailed`] blaming the world rank it carries; a terminated peer is normalised to
-    /// [`MpiError::NodeFailed`] too, so the engine's fault contract exposes
-    /// a single error type.
+    /// [`MpiError::NodeFailed`] blaming the world rank it carries; a
+    /// terminated peer is normalised to [`MpiError::NodeFailed`] too, so the
+    /// engine's fault contract exposes a single error type.
     fn recv_sched(&self, src: usize) -> MpiResult<Vec<u8>> {
         match self.recv_bytes(self.coll_plane(), Some(src), None) {
             Ok((bytes, st)) if st.tag == TAG_POISON => {
@@ -998,7 +998,8 @@ macro_rules! impl_fixed_reductions {
             /// (`MPI_Reduce_scatter_block`): the elementwise reduction of
             /// every rank's `contrib` (length `size * block`) is computed and
             /// rank `i` receives elements `i*block .. (i+1)*block`.
-            #[doc = concat!("A [`Comm::", stringify!($reduce), "`] to rank 0 and a [`Comm::scatter`].")]
+            #[doc = concat!("A [`Comm::", stringify!($reduce), "`] to rank 0, then a")]
+            /// [`Comm::scatter`].
             ///
             /// # Errors
             /// [`MpiError::InvalidCounts`] if the contribution length is not

@@ -34,7 +34,10 @@
 //!    dead rank is a *fault-induced orphan* and gets
 //!    [`MpiError::NodeFailed`] naming the dead root cause; a rank stuck in
 //!    a cycle of live ranks is *truly deadlocked* and gets
-//!    [`MpiError::Deadlock`] carrying the wait graph.
+//!    [`MpiError::Deadlock`] carrying the wait graph. The one exception is
+//!    an agreement waiter whose round waits on a rank released here from a
+//!    mailbox wait: it gets no verdict, because the released rank may
+//!    still deposit.
 //!
 //! Detection is exact (no false verdicts: a verdict is only issued when no
 //! message is queued and no rank is running) and fast (classification runs
@@ -362,7 +365,23 @@ impl Registry {
         let graph = WaitGraph {
             edges: edges.clone(),
         };
+        let in_mailbox = |w: usize| match &inner.phase[w] {
+            Phase::Blocked(rec) => matches!(rec.kind, WaitKind::Mailbox { .. }),
+            _ => false,
+        };
         for (r, on) in edges {
+            // An agreement waiter whose round waits on a rank this round
+            // releases from a mailbox wait gets no verdict: the released
+            // rank may still deposit, and whether it does so before the
+            // waiter looks is host scheduling, which must not decide the
+            // waiter's outcome or its clock.
+            let Phase::Blocked(rec) = &inner.phase[r] else {
+                unreachable!()
+            };
+            if matches!(rec.kind, WaitKind::Agreement { .. }) && on.iter().any(|&w| in_mailbox(w))
+            {
+                continue;
+            }
             let v = match cause[r] {
                 Some(w) => MpiError::NodeFailed { world_rank: w },
                 None => MpiError::Deadlock {

@@ -1,5 +1,7 @@
-//! Golden virtual times of every `Comm` collective outside the algorithm
-//! engine's own `*_eq`/`*_into` entry points.
+//! Golden virtual times of every `Comm` collective without an algorithm
+//! choice: barrier, the `Vec` broadcast, gather, scatter, allgather,
+//! alltoall, the prefix reductions, reduce-scatter and the scalar
+//! reductions.
 //!
 //! Each digest is FNV-1a over the bits of every rank's clock and result
 //! after every call of one operation, for 1–9 ranks, every root, and both

@@ -331,7 +331,8 @@ impl FixedKind {
                 let mut rounds = Vec::new();
                 let mut mask = 1;
                 while mask < p {
-                    rounds.push((mask..p).step_by(2 * mask).map(|r| empty(r, r - mask)).collect());
+                    let round = (mask..p).step_by(2 * mask).map(|r| empty(r, r - mask));
+                    rounds.push(round.collect());
                     mask <<= 1;
                 }
                 rounds.extend(bcastv_rounds(p, 0, empty));
@@ -346,9 +347,9 @@ impl FixedKind {
                 .filter(|&dst| dst != root)
                 .map(|dst| block(root, dst, dst))
                 .collect()],
-            FixedKind::Alltoallv => vec![(0..p)
-                .flat_map(|src| (0..p).filter(move |&dst| dst != src).map(move |dst| (src, dst)))
-                .map(|(src, dst)| block(src, dst, src * p + dst))
+            FixedKind::Alltoallv => vec![(0..p * p)
+                .filter(|b| b / p != b % p)
+                .map(|b| block(b / p, b % p, b))
                 .collect()],
             FixedKind::Scan | FixedKind::Exscan => {
                 (1..p).map(|dst| vec![block(dst - 1, dst, 0)]).collect()
