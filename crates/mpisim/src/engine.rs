@@ -87,6 +87,30 @@ fn fault_blame(e: &MpiError) -> Option<usize> {
     }
 }
 
+/// What a [`FixedKind`] collective's state holds, for its trace span:
+/// `(elements, wire bytes per element)`.
+trait Held {
+    fn held(&self) -> (usize, usize);
+}
+
+impl Held for () {
+    fn held(&self) -> (usize, usize) {
+        (0, 0)
+    }
+}
+
+impl<T: MpiType> Held for Vec<T> {
+    fn held(&self) -> (usize, usize) {
+        (self.len(), T::WIRE_SIZE)
+    }
+}
+
+impl<T: MpiType> Held for Vec<Vec<T>> {
+    fn held(&self) -> (usize, usize) {
+        (self.iter().map(Vec::len).sum(), T::WIRE_SIZE)
+    }
+}
+
 /// How the engine picks an algorithm for each collective call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CollectivePolicy {
@@ -531,14 +555,12 @@ impl Comm {
     /// it. `counts` are the block counts as this rank knows them; a rank
     /// that is not told a count passes 0 in its place, which leaves the
     /// schedule's edges unchanged, and its `recv` takes the length from
-    /// the message. The span records the elements this rank knew of.
-    #[allow(clippy::too_many_arguments)]
-    fn run_fixed<S>(
+    /// the message. The span records what `state` holds at the end.
+    fn run_fixed<S: Held>(
         &self,
         kind: FixedKind,
         root: usize,
         counts: &[usize],
-        elem_bytes: usize,
         state: &mut S,
         send: impl Fn(&S, &Xfer) -> Vec<u8>,
         recv: impl FnMut(&mut S, &Xfer, Vec<u8>) -> MpiResult<()>,
@@ -550,7 +572,8 @@ impl Comm {
         self.with_fault_contract(&rounds, |sent| {
             self.run_schedule(&rounds, state, sent, send, recv)
         })?;
-        self.trace_collective(kind.name(), kind.algo(), counts.iter().sum(), elem_bytes, start);
+        let (elems, elem_bytes) = state.held();
+        self.trace_collective(kind.name(), kind.algo(), elems, elem_bytes, start);
         Ok(())
     }
 
@@ -693,7 +716,6 @@ impl Comm {
             FixedKind::Barrier,
             0,
             &[],
-            0,
             &mut (),
             |_, _| Vec::new(),
             |_, _, _| Ok(()),
@@ -711,22 +733,19 @@ impl Comm {
     pub fn bcast<T: MpiType>(&self, data: &mut Vec<T>, root: usize) -> MpiResult<()> {
         self.check_rank(root)?;
         let is_root = self.rank() == root;
-        let mut bytes = if is_root { encode(data) } else { Vec::new() };
+        let mut buf = if is_root { data.clone() } else { Vec::new() };
         self.run_fixed(
             FixedKind::Bcastv,
             root,
-            &[if is_root { data.len() } else { 0 }],
-            T::WIRE_SIZE,
-            &mut bytes,
-            |b, _| b.clone(),
-            |b, _, got| {
-                *b = got;
+            &[buf.len()],
+            &mut buf,
+            |buf, _| encode(buf),
+            |buf, _, bytes| {
+                *buf = decode(&bytes)?;
                 Ok(())
             },
         )?;
-        if !is_root {
-            *data = decode(&bytes)?;
-        }
+        *data = buf;
         Ok(())
     }
 
@@ -757,11 +776,13 @@ impl Comm {
         let mut counts = vec![0; p];
         counts[me] = contrib.len();
         let mut parts = vec![Vec::new(); if me == root { p } else { 0 }];
+        if me == root {
+            parts[root] = contrib.to_vec();
+        }
         self.run_fixed(
             FixedKind::Gatherv,
             root,
             &counts,
-            T::WIRE_SIZE,
             &mut parts,
             |_, _| encode(contrib),
             |parts, x, bytes| {
@@ -769,11 +790,7 @@ impl Comm {
                 Ok(())
             },
         )?;
-        if me != root {
-            return Ok(None);
-        }
-        parts[root] = contrib.to_vec();
-        Ok(Some(parts))
+        Ok((me == root).then_some(parts))
     }
 
     /// Gather with equal contribution lengths, flattened in rank order
@@ -838,7 +855,6 @@ impl Comm {
             FixedKind::Scatterv,
             root,
             &counts,
-            T::WIRE_SIZE,
             &mut mine,
             |_, x| encode(&parts[x.dst]),
             |mine, _, bytes| {
@@ -900,7 +916,6 @@ impl Comm {
             FixedKind::Alltoallv,
             0,
             &counts,
-            T::WIRE_SIZE,
             &mut out,
             |_, x| encode(&sends[x.dst]),
             |out, x, bytes| {
@@ -934,7 +949,6 @@ impl Comm {
             kind,
             0,
             &[n],
-            T::WIRE_SIZE,
             &mut acc,
             |acc, _| {
                 if inclusive {
