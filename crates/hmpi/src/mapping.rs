@@ -598,6 +598,14 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
     }
 }
 
+/// Headroom on the pruning test. The bound divides compute units by a
+/// speed, while the evaluator reaches the same time through its own
+/// float operations, so a bound that is exact in real arithmetic can
+/// round a few ulps above a leaf that ties the incumbent. Pruning such a
+/// subtree would make the result depend on which worker thread found the
+/// incumbent first.
+const PRUNE_SLACK: f64 = 1.0 + 1e-12;
+
 #[allow(clippy::too_many_arguments)]
 fn bb_rec(
     abs: usize,
@@ -613,16 +621,18 @@ fn bb_rec(
     best: &mut Option<Mapping>,
 ) {
     if let Some(b) = bound {
-        // Prune only on a *strict* bound violation: equal-valued subtrees
-        // survive, so the first-improver tie-break matches the sequential
-        // enumeration exactly. The incumbent only ever comes from real
-        // leaves, so nothing is pruned before the first leaf is priced.
+        // Prune only on a *strict* bound violation (with rounding headroom,
+        // see `PRUNE_SLACK`): equal-valued subtrees survive, so the
+        // first-improver tie-break matches the sequential enumeration
+        // exactly. The incumbent only ever comes from real leaves, so
+        // nothing is pruned before the first leaf is priced.
         let tail = if abs < p {
             b.suffix_max[abs] / b.max_speed
         } else {
             0.0
         };
-        if lb_partial.max(tail) > f64::from_bits(shared.load(Ordering::Relaxed)) {
+        let incumbent = f64::from_bits(shared.load(Ordering::Relaxed));
+        if lb_partial.max(tail) > incumbent * PRUNE_SLACK {
             return;
         }
     }
@@ -754,9 +764,10 @@ fn bb_search_prefix(
 
 /// Exact enumeration with branch-and-bound pruning and a deterministic
 /// multi-threaded split of the search tree's first levels. Returns exactly
-/// the mapping [`exhaustive_seq`] would: pruning is strict (`lb > best`),
-/// so equal-valued leaves survive to the same first-improver tie-break,
-/// and per-prefix results are merged in sequential prefix order.
+/// the mapping [`exhaustive_seq`] would: pruning is strict (`lb > best`,
+/// with rounding headroom), so equal-valued leaves survive to the same
+/// first-improver tie-break, and per-prefix results are merged in
+/// sequential prefix order.
 fn exhaustive_bb(
     model: &dyn PerformanceModel,
     ctx: &SelectionCtx<'_>,

@@ -111,6 +111,71 @@ impl<T: MpiType> Held for Vec<Vec<T>> {
     }
 }
 
+/// A scheduled transfer the executor can run: a flat schedule's [`Xfer`]
+/// or a hierarchical plan's contribution-gather [`GatherXfer`].
+trait Edge {
+    fn src(&self) -> usize;
+    fn dst(&self) -> usize;
+}
+
+impl Edge for Xfer {
+    fn src(&self) -> usize {
+        self.src
+    }
+    fn dst(&self) -> usize {
+        self.dst
+    }
+}
+
+impl Edge for GatherXfer {
+    fn src(&self) -> usize {
+        self.src
+    }
+    fn dst(&self) -> usize {
+        self.dst
+    }
+}
+
+/// Decodes one scheduled reduction payload and checks its element count.
+fn decode_contribs<T: MpiType>(bytes: &[u8], want: usize) -> MpiResult<Vec<T>> {
+    let v: Vec<T> = decode(bytes)?;
+    if v.len() != want {
+        return Err(MpiError::InvalidCounts(format!(
+            "scheduled reduction transfer carried {} elements, expected {want} \
+             (mismatched contribution lengths across ranks?)",
+            v.len()
+        )));
+    }
+    Ok(v)
+}
+
+/// The origins a raw-gather transfer of a flat reduce or allreduce schedule
+/// carries, as absolute ranks: the block of `x.elems() / n` relative ranks
+/// (relative to `root`) that starts at the sender's relative rank rounded
+/// down to a multiple of the block's power-of-two span. Linear and binomial
+/// senders are already aligned; a recursive-doubling sender ships its
+/// aligned block.
+fn block_origins(x: &Xfer, n: usize, p: usize, root: usize) -> Vec<usize> {
+    let cnt = x.elems() / n;
+    let start = ((x.src + p - root) % p) & !(cnt - 1);
+    (start..start + cnt).map(|r| (r + root) % p).collect()
+}
+
+/// The identity-seeded fold of every held contribution in ascending origin
+/// order — the one reduction order every algorithm reproduces.
+fn fold_contribs<T: MpiType>(
+    held: &[Option<Vec<T>>],
+    n: usize,
+    identity: T,
+    fold: impl Fn(&mut [T], &[T]),
+) -> Vec<T> {
+    let mut acc = vec![identity; n];
+    for c in held {
+        fold(&mut acc, c.as_deref().expect("gathered every contribution"));
+    }
+    acc
+}
+
 /// How the engine picks an algorithm for each collective call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CollectivePolicy {
@@ -493,25 +558,64 @@ impl Comm {
     /// order, each handed to `recv` to fold into `state`. The schedule
     /// itself is the fault contract's poison reference, so every
     /// collective that runs through here sends exactly its scheduled edges.
-    fn run_schedule<S>(
+    fn run_schedule<E: Edge, S>(
         &self,
-        rounds: &[Vec<Xfer>],
+        rounds: &[Vec<E>],
         state: &mut S,
         sent: &Cell<usize>,
-        send: impl Fn(&S, &Xfer) -> Vec<u8>,
-        mut recv: impl FnMut(&mut S, &Xfer, Vec<u8>) -> MpiResult<()>,
+        send: impl Fn(&S, &E) -> Vec<u8>,
+        mut recv: impl FnMut(&mut S, &E, Vec<u8>) -> MpiResult<()>,
     ) -> MpiResult<()> {
         let me = self.rank();
         for round in rounds {
-            for x in round.iter().filter(|x| x.src == me) {
-                self.post_sched(send(state, x), x.dst, sent)?;
+            for x in round.iter().filter(|x| x.src() == me) {
+                self.post_sched(send(state, x), x.dst(), sent)?;
             }
-            for x in round.iter().filter(|x| x.dst == me) {
-                let bytes = self.recv_sched(x.src)?;
+            for x in round.iter().filter(|x| x.dst() == me) {
+                let bytes = self.recv_sched(x.src())?;
                 recv(state, x, bytes)?;
             }
         }
         Ok(())
+    }
+
+    /// Runs a raw-contribution gather: every transfer carries the
+    /// contributions of `origins(edge)` (absolute ranks, ascending),
+    /// concatenated, so no partial result is ever folded in flight.
+    /// Returns the contributions this rank holds afterwards, by origin.
+    fn gather_contribs<E: Edge, T: MpiType>(
+        &self,
+        rounds: &[Vec<E>],
+        contrib: &[T],
+        origins: impl Fn(&E) -> Vec<usize>,
+        sent: &Cell<usize>,
+    ) -> MpiResult<Vec<Option<Vec<T>>>> {
+        let n = contrib.len();
+        // Empty contributions are never scheduled: every rank already
+        // holds every (empty) contribution.
+        let mut held = vec![(n == 0).then(Vec::new); self.size()];
+        held[self.rank()] = Some(contrib.to_vec());
+        self.run_schedule(
+            rounds,
+            &mut held,
+            sent,
+            |held, e| {
+                let mut payload = Vec::new();
+                for o in origins(e) {
+                    payload.extend_from_slice(held[o].as_deref().expect("sends only held ones"));
+                }
+                encode(&payload)
+            },
+            |held, e, bytes| {
+                let from = origins(e);
+                let v: Vec<T> = decode_contribs(&bytes, from.len() * n)?;
+                for (o, c) in from.into_iter().zip(v.chunks(n)) {
+                    held[o] = Some(c.to_vec());
+                }
+                Ok(())
+            },
+        )?;
+        Ok(held)
     }
 
     /// Executes a data-movement schedule over `buf`: every transfer carries
@@ -977,15 +1081,293 @@ impl Comm {
         )?;
         Ok(acc)
     }
+
+    /// Reduce with an explicit flat algorithm: a raw-contribution gather up
+    /// the algorithm's schedule, folded at the root in rank order.
+    fn reduce_flat<T: MpiType>(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[T],
+        root: usize,
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+    ) -> MpiResult<Option<Vec<T>>> {
+        self.check_rank(root)?;
+        let (p, n) = (self.size(), contrib.len());
+        let rounds = schedule(CollectiveKind::Reduce, algo, p, root, n).ok_or_else(|| {
+            MpiError::InvalidCounts(format!(
+                "algorithm {} is not eligible for reduce over {p} rank(s)",
+                algo.name()
+            ))
+        })?;
+        let start = self.clock.now();
+        let out = self.with_fault_contract(&rounds, |sent| {
+            let held = self.gather_contribs(&rounds, contrib, |x| block_origins(x, n, p, root), sent)?;
+            Ok((self.rank() == root).then(|| fold_contribs(&held, n, identity, &fold)))
+        })?;
+        self.trace_collective(CollectiveKind::Reduce.name(), algo, n, T::WIRE_SIZE, start);
+        Ok(out)
+    }
+
+    /// Reduce under the universe's policy: the selected flat algorithm, or
+    /// the hierarchical plan's contribution gather folded at the root.
+    fn reduce_auto<T: MpiType>(
+        &self,
+        contrib: &[T],
+        root: usize,
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+    ) -> MpiResult<Option<Vec<T>>> {
+        let n = contrib.len();
+        match self.resolve_exec(CollectiveKind::Reduce, None, root, n, T::WIRE_SIZE)? {
+            Execution::Flat(algo) => self.reduce_flat(algo, contrib, root, identity, fold),
+            Execution::Hier(plan) => {
+                let start = self.clock.now();
+                let out = self.with_fault_contract(&plan.xfer_rounds(n), |sent| {
+                    let held = self.hier_gather(&plan, contrib, sent)?;
+                    Ok((self.rank() == root).then(|| fold_contribs(&held, n, identity, &fold)))
+                })?;
+                let algo = CollectiveAlgo::Hierarchical;
+                self.trace_collective(CollectiveKind::Reduce.name(), algo, n, T::WIRE_SIZE, start);
+                Ok(out)
+            }
+        }
+    }
+
+    /// A hierarchical plan's contribution gather: the transfers
+    /// [`HierPlan::xfer_rounds`] keeps, each carrying its listed origins.
+    fn hier_gather<T: MpiType>(
+        &self,
+        plan: &HierPlan,
+        contrib: &[T],
+        sent: &Cell<usize>,
+    ) -> MpiResult<Vec<Option<Vec<T>>>> {
+        let n = contrib.len();
+        let live: Vec<Vec<GatherXfer>> = plan
+            .gather
+            .iter()
+            .map(|round| {
+                let live = |g: &&GatherXfer| !g.origins.is_empty() && n > 0 && g.src != g.dst;
+                round.iter().filter(live).cloned().collect()
+            })
+            .collect();
+        self.gather_contribs(&live, contrib, |g| g.origins.clone(), sent)
+    }
+
+    /// Allreduce with an explicit flat algorithm; every algorithm folds
+    /// raw contributions (or ascending-prefix partials) in rank order.
+    fn allreduce_flat<T: MpiType + Default>(
+        &self,
+        algo: CollectiveAlgo,
+        contrib: &[T],
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+    ) -> MpiResult<Vec<T>> {
+        let (p, n) = (self.size(), contrib.len());
+        let rounds = schedule(CollectiveKind::Allreduce, algo, p, 0, n).ok_or_else(|| {
+            MpiError::InvalidCounts(format!(
+                "algorithm {} is not eligible for allreduce over {p} rank(s)",
+                algo.name()
+            ))
+        })?;
+        let start = self.clock.now();
+        let out = self.with_fault_contract(&rounds, |sent| match algo {
+            CollectiveAlgo::Linear | CollectiveAlgo::Binomial => {
+                // Reduce to 0, then broadcast from 0, both with `algo`: the
+                // allreduce schedule is the two concatenated.
+                let split = schedule(CollectiveKind::Reduce, algo, p, 0, n).map_or(0, |r| r.len());
+                let (up, down) = rounds.split_at(split);
+                let held = self.gather_contribs(up, contrib, |x| block_origins(x, n, p, 0), sent)?;
+                let mut buf = if self.rank() == 0 {
+                    fold_contribs(&held, n, identity, &fold)
+                } else {
+                    vec![T::default(); n]
+                };
+                self.run_movement(down, &mut buf, sent)?;
+                Ok(buf)
+            }
+            CollectiveAlgo::RecursiveDoubling => {
+                let held =
+                    self.gather_contribs(&rounds, contrib, |x| block_origins(x, n, p, 0), sent)?;
+                Ok(fold_contribs(&held, n, identity, &fold))
+            }
+            CollectiveAlgo::Ring => self.ring_allreduce(&rounds, contrib, identity, &fold, sent),
+            CollectiveAlgo::ScatterAllgather => {
+                // A direct reduce-scatter of raw chunks (this rank folds
+                // every rank's copy of its own chunk), then a direct
+                // allgather of the reduced chunks.
+                let (lo, hi) = chunk_bounds(n, p, self.rank());
+                let mut raw = vec![(hi == lo).then(Vec::new); p];
+                raw[self.rank()] = Some(contrib[lo..hi].to_vec());
+                self.run_schedule(
+                    &rounds[..1],
+                    &mut raw,
+                    sent,
+                    |_, x| encode(&contrib[x.lo..x.hi]),
+                    |raw, x, bytes| {
+                        raw[x.src] = Some(decode_contribs(&bytes, x.elems())?);
+                        Ok(())
+                    },
+                )?;
+                let mut result = contrib.to_vec();
+                result[lo..hi].copy_from_slice(&fold_contribs(&raw, hi - lo, identity, &fold));
+                self.run_movement(&rounds[1..], &mut result, sent)?;
+                Ok(result)
+            }
+            CollectiveAlgo::Hierarchical => unreachable!("never eligible for a flat schedule"),
+        })?;
+        self.trace_collective(CollectiveKind::Allreduce.name(), algo, n, T::WIRE_SIZE, start);
+        Ok(out)
+    }
+
+    /// Pipelined ring allreduce over its schedule: ascending-prefix partial
+    /// folds travel the chain forward chunk by chunk (each rank folds its
+    /// own chunk into the partial it receives), and finished chunks travel
+    /// it backward.
+    fn ring_allreduce<T: MpiType>(
+        &self,
+        rounds: &[Vec<Xfer>],
+        contrib: &[T],
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+        sent: &Cell<usize>,
+    ) -> MpiResult<Vec<T>> {
+        let (p, r) = (self.size(), self.rank());
+        // (result, forward partials), both indexed like the payload.
+        let mut state = (contrib.to_vec(), vec![identity; contrib.len()]);
+        self.run_schedule(
+            rounds,
+            &mut state,
+            sent,
+            |(result, partial), x| {
+                if x.dst < x.src {
+                    encode(&result[x.lo..x.hi])
+                } else if r == 0 {
+                    let mut acc = vec![identity; x.elems()];
+                    fold(&mut acc, &contrib[x.lo..x.hi]);
+                    encode(&acc)
+                } else {
+                    encode(&partial[x.lo..x.hi])
+                }
+            },
+            |(result, partial), x, bytes| {
+                let mut v: Vec<T> = decode_contribs(&bytes, x.elems())?;
+                if x.src < x.dst {
+                    fold(&mut v, &contrib[x.lo..x.hi]);
+                    let to = if r == p - 1 { result } else { partial };
+                    to[x.lo..x.hi].copy_from_slice(&v);
+                } else {
+                    result[x.lo..x.hi].copy_from_slice(&v);
+                }
+                Ok(())
+            },
+        )?;
+        Ok(state.0)
+    }
+
+    /// Allreduce under the universe's policy: the selected flat algorithm,
+    /// or the hierarchical plan's gather to rank 0 and broadcast back out
+    /// under one fault contract.
+    fn allreduce_auto<T: MpiType + Default>(
+        &self,
+        contrib: &[T],
+        identity: T,
+        fold: impl Fn(&mut [T], &[T]),
+    ) -> MpiResult<Vec<T>> {
+        let n = contrib.len();
+        match self.resolve_exec(CollectiveKind::Allreduce, None, 0, n, T::WIRE_SIZE)? {
+            Execution::Flat(algo) => self.allreduce_flat(algo, contrib, identity, fold),
+            Execution::Hier(plan) => {
+                let start = self.clock.now();
+                let out = self.with_fault_contract(&plan.xfer_rounds(n), |sent| {
+                    let held = self.hier_gather(&plan, contrib, sent)?;
+                    let mut buf = if self.rank() == 0 {
+                        fold_contribs(&held, n, identity, &fold)
+                    } else {
+                        vec![T::default(); n]
+                    };
+                    self.run_movement(&plan.movement, &mut buf, sent)?;
+                    Ok(buf)
+                })?;
+                let (kind, algo) = (CollectiveKind::Allreduce, CollectiveAlgo::Hierarchical);
+                self.trace_collective(kind.name(), algo, n, T::WIRE_SIZE, start);
+                Ok(out)
+            }
+        }
+    }
 }
 
-/// Generates the typed prefix, reduce-scatter and scalar reductions for one
-/// element type.
-macro_rules! impl_fixed_reductions {
-    ($t:ty, $fold:ident, $identity:ident, $reduce:ident, $allreduce:ident,
-     $scan:ident, $exscan:ident, $reduce_scatter_block:ident,
-     $reduce_one:ident, $allreduce_one:ident) => {
+/// Generates the typed reductions for one element type.
+macro_rules! impl_reductions {
+    ($t:ty, $fold:ident, $identity:ident, $reduce:ident, $reduce_with:ident,
+     $allreduce:ident, $allreduce_with:ident, $scan:ident, $exscan:ident,
+     $reduce_scatter_block:ident, $reduce_one:ident, $allreduce_one:ident) => {
         impl Comm {
+            #[doc = concat!("Engine reduce over equal-length `", stringify!($t), "` contributions; the root receives the result.")]
+            ///
+            /// The result is always the identity-seeded fold of the
+            /// contributions in ascending communicator-rank order,
+            /// bit-identical across every algorithm.
+            ///
+            /// # Errors
+            /// [`MpiError::InvalidRank`] for a bad root;
+            /// [`MpiError::InvalidCounts`] for mismatched contribution
+            /// lengths or an ineligible pinned algorithm;
+            /// [`MpiError::NodeFailed`] if this rank's data path depends on
+            /// a fail-stopped member (every survivor returns the complete
+            /// result or that error, never a torn result).
+            pub fn $reduce(
+                &self,
+                contrib: &[$t],
+                op: ReduceOp,
+                root: usize,
+            ) -> MpiResult<Option<Vec<$t>>> {
+                self.reduce_auto(contrib, root, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
+            #[doc = concat!("[`Comm::", stringify!($reduce), "`] with an explicit algorithm.")]
+            ///
+            /// # Errors
+            #[doc = concat!("As [`Comm::", stringify!($reduce), "`].")]
+            pub fn $reduce_with(
+                &self,
+                algo: CollectiveAlgo,
+                contrib: &[$t],
+                op: ReduceOp,
+                root: usize,
+            ) -> MpiResult<Option<Vec<$t>>> {
+                self.reduce_flat(algo, contrib, root, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
+            #[doc = concat!("Engine allreduce over equal-length `", stringify!($t), "` contributions.")]
+            ///
+            /// The result is always the identity-seeded fold of the
+            /// contributions in ascending communicator-rank order,
+            /// bit-identical across every algorithm.
+            ///
+            /// # Errors
+            /// [`MpiError::InvalidCounts`] for mismatched contribution
+            /// lengths or an ineligible pinned algorithm;
+            /// [`MpiError::NodeFailed`] if this rank's data path depends on
+            /// a fail-stopped member (every survivor returns the complete
+            /// result or that error, never a torn result).
+            pub fn $allreduce(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
+                self.allreduce_auto(contrib, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
+            #[doc = concat!("[`Comm::", stringify!($allreduce), "`] with an explicit algorithm.")]
+            ///
+            /// # Errors
+            #[doc = concat!("As [`Comm::", stringify!($allreduce), "`].")]
+            pub fn $allreduce_with(
+                &self,
+                algo: CollectiveAlgo,
+                contrib: &[$t],
+                op: ReduceOp,
+            ) -> MpiResult<Vec<$t>> {
+                self.allreduce_flat(algo, contrib, op.$identity(), |a, b| op.$fold(a, b))
+            }
+
             /// Inclusive prefix reduction (`MPI_Scan`): rank `i` receives the
             /// reduction of contributions from ranks `0..=i`, folded along
             /// the rank chain in rank order.
@@ -1066,610 +1448,13 @@ macro_rules! impl_fixed_reductions {
     };
 }
 
-impl_fixed_reductions!(
-    f64, fold_f64, identity_f64, reduce_eq_f64, allreduce_eq_f64, scan_f64, exscan_f64,
-    reduce_scatter_block_f64, reduce_one_f64, allreduce_one_f64
+impl_reductions!(
+    f64, fold_f64, identity_f64, reduce_eq_f64, reduce_eq_f64_with, allreduce_eq_f64,
+    allreduce_eq_f64_with, scan_f64, exscan_f64, reduce_scatter_block_f64, reduce_one_f64,
+    allreduce_one_f64
 );
-impl_fixed_reductions!(
-    i64, fold_i64, identity_i64, reduce_eq_i64, allreduce_eq_i64, scan_i64, exscan_i64,
-    reduce_scatter_block_i64, reduce_one_i64, allreduce_one_i64
-);
-
-/// Generates the typed engine reductions for one element type.
-macro_rules! impl_engine_reductions {
-    ($t:ty, $identity:ident, $fold:ident,
-     $recv_contribs:ident, $linear_reduce:ident, $binomial_reduce:ident,
-     $hier_gather:ident,
-     $ring_allreduce:ident, $rd_allreduce:ident, $sag_allreduce:ident,
-     $reduce:ident, $reduce_with:ident, $allreduce:ident, $allreduce_with:ident,
-     $reduce_doc:expr, $allreduce_doc:expr) => {
-        impl Comm {
-            /// Receives one scheduled reduction payload and checks its
-            /// element count.
-            fn $recv_contribs(&self, src: usize, want: usize) -> MpiResult<Vec<$t>> {
-                let bytes = self.recv_sched(src)?;
-                let v: Vec<$t> = decode(&bytes)?;
-                if v.len() != want {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "scheduled reduction transfer carried {} elements, expected {want} \
-                         (mismatched contribution lengths across ranks?)",
-                        v.len()
-                    )));
-                }
-                Ok(v)
-            }
-
-            /// Flat reduce: every rank sends its raw contribution to the
-            /// root, which folds in ascending rank order.
-            fn $linear_reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                if me != root {
-                    // An empty contribution is not scheduled (and the root
-                    // never receives it) — posting one would leak a stray
-                    // envelope onto the collective plane.
-                    if n > 0 {
-                        self.post_sched(encode(contrib), root, sent)?;
-                    }
-                    return Ok(None);
-                }
-                let mut raw: Vec<Option<Vec<$t>>> = vec![None; p];
-                for src in 0..p {
-                    if src != root && n > 0 {
-                        raw[src] = Some(self.$recv_contribs(src, n)?);
-                    }
-                }
-                let mut acc = vec![op.$identity(); n];
-                for origin in 0..p {
-                    match &raw[origin] {
-                        Some(v) => op.$fold(&mut acc, v),
-                        None => op.$fold(&mut acc, contrib),
-                    }
-                }
-                Ok(Some(acc))
-            }
-
-            /// Binomial raw-contribution gather: each sender forwards every
-            /// contribution its subtree holds (concatenated in ascending
-            /// relative-rank order), and only the root folds — in ascending
-            /// absolute rank order, so the result is bit-identical to
-            /// the linear variant.
-            fn $binomial_reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let n = contrib.len();
-                let rel = (self.rank() + p - root) % p;
-                let abs = |r: usize| (r + root) % p;
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[rel] = Some(contrib.to_vec());
-                let mut span = 1;
-                while span < p {
-                    if rel >= span && (rel - span) % (2 * span) == 0 {
-                        let cnt = span.min(p - rel);
-                        let mut payload = Vec::with_capacity(cnt * n);
-                        for o in rel..rel + cnt {
-                            payload.extend_from_slice(held[o].as_ref().expect("subtree held"));
-                        }
-                        if !payload.is_empty() {
-                            self.post_sched(encode(&payload), abs(rel - span), sent)?;
-                        }
-                        return Ok(None); // a sender's part in the gather is over
-                    }
-                    if rel % (2 * span) == 0 && rel + span < p {
-                        let src_rel = rel + span;
-                        let cnt = span.min(p - src_rel);
-                        if cnt * n > 0 {
-                            let v = self.$recv_contribs(abs(src_rel), cnt * n)?;
-                            for i in 0..cnt {
-                                held[src_rel + i] = Some(v[i * n..(i + 1) * n].to_vec());
-                            }
-                        } else {
-                            for i in 0..cnt {
-                                held[src_rel + i] = Some(Vec::new());
-                            }
-                        }
-                    }
-                    span <<= 1;
-                }
-                if rel != 0 {
-                    return Ok(None);
-                }
-                let mut acc = vec![op.$identity(); n];
-                for abs_rank in 0..p {
-                    let r = (abs_rank + p - root) % p;
-                    op.$fold(&mut acc, held[r].as_ref().expect("root gathered everything"));
-                }
-                Ok(Some(acc))
-            }
-
-            /// Hierarchical raw-contribution gather: each transfer of the
-            /// plan forwards exactly the contributions its sender holds
-            /// (ascending origins), so only the root folds — in ascending
-            /// absolute rank order, bit-identical to every flat algorithm.
-            /// The send/skip filter mirrors [`HierPlan::xfer_rounds`]
-            /// exactly, so the fault contract's poison counting and the
-            /// pricer's replay both see the executed transfer sequence.
-            fn $hier_gather(
-                &self,
-                plan: &HierPlan,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                let live = |g: &&GatherXfer| !g.origins.is_empty() && n > 0 && g.src != g.dst;
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[me] = Some(contrib.to_vec());
-                for round in &plan.gather {
-                    for g in round.iter().filter(|g| g.src == me).filter(live) {
-                        let mut payload = Vec::with_capacity(g.origins.len() * n);
-                        for &o in &g.origins {
-                            payload.extend_from_slice(
-                                held[o].as_ref().expect("plan sends only held origins"),
-                            );
-                        }
-                        self.post_sched(encode(&payload), g.dst, sent)?;
-                    }
-                    for g in round.iter().filter(|g| g.dst == me).filter(live) {
-                        let v = self.$recv_contribs(g.src, g.origins.len() * n)?;
-                        for (i, &o) in g.origins.iter().enumerate() {
-                            held[o] = Some(v[i * n..(i + 1) * n].to_vec());
-                        }
-                    }
-                }
-                if me != root {
-                    return Ok(None);
-                }
-                let mut acc = vec![op.$identity(); n];
-                for origin in 0..p {
-                    op.$fold(
-                        &mut acc,
-                        held[origin]
-                            .as_ref()
-                            .expect("plan funnels every contribution to the root"),
-                    );
-                }
-                Ok(Some(acc))
-            }
-
-            /// Pipelined ring allreduce: ascending-prefix partial folds
-            /// travel the chain forward chunk by chunk, finished chunks
-            /// travel it backward, both directions pipelined through shared
-            /// global rounds (mirroring the schedule generator exactly).
-            fn $ring_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let r = self.rank();
-                let n = contrib.len();
-                let nchunks = p;
-                let mut result = contrib.to_vec();
-                let mut partial: Vec<Option<Vec<$t>>> = vec![None; nchunks];
-                for g in 0..nchunks + 2 * p - 3 {
-                    if r < p - 1 {
-                        if let Some(c) = g.checked_sub(r) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let payload = if r == 0 {
-                                        let mut acc = vec![op.$identity(); hi - lo];
-                                        op.$fold(&mut acc, &contrib[lo..hi]);
-                                        acc
-                                    } else {
-                                        partial[c].take().expect("folded last round")
-                                    };
-                                    self.post_sched(encode(&payload), r + 1, sent)?;
-                                }
-                            }
-                        }
-                    }
-                    if r > 0 {
-                        if let Some(c) = (g + r).checked_sub(2 * (p - 1)) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    self.post_sched(encode(&result[lo..hi]), r - 1, sent)?;
-                                }
-                            }
-                        }
-                    }
-                    if r > 0 {
-                        if let Some(c) = g.checked_sub(r - 1) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let mut v = self.$recv_contribs(r - 1, hi - lo)?;
-                                    op.$fold(&mut v, &contrib[lo..hi]);
-                                    if r == p - 1 {
-                                        result[lo..hi].copy_from_slice(&v);
-                                    } else {
-                                        partial[c] = Some(v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if r < p - 1 {
-                        if let Some(c) = (g + r + 1).checked_sub(2 * (p - 1)) {
-                            if c < nchunks {
-                                let (lo, hi) = chunk_bounds(n, nchunks, c);
-                                if hi > lo {
-                                    let v = self.$recv_contribs(r + 1, hi - lo)?;
-                                    result[lo..hi].copy_from_slice(&v);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(result)
-            }
-
-            /// Recursive-doubling allreduce as a doubling raw-contribution
-            /// gather: round `k` exchanges the `2^k` contributions each
-            /// partner holds (aligned blocks), and every rank folds all `p`
-            /// contributions locally in ascending rank order. Requires a
-            /// power-of-two communicator.
-            fn $rd_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let r = self.rank();
-                let n = contrib.len();
-                let mut held: Vec<Option<Vec<$t>>> = vec![None; p];
-                held[r] = Some(contrib.to_vec());
-                let mut span = 1;
-                while span < p {
-                    let partner = r ^ span;
-                    let base = r & !(span - 1);
-                    if span * n > 0 {
-                        let mut payload = Vec::with_capacity(span * n);
-                        for o in base..base + span {
-                            payload.extend_from_slice(held[o].as_ref().expect("aligned block"));
-                        }
-                        self.post_sched(encode(&payload), partner, sent)?;
-                        let pbase = partner & !(span - 1);
-                        let v = self.$recv_contribs(partner, span * n)?;
-                        for i in 0..span {
-                            held[pbase + i] = Some(v[i * n..(i + 1) * n].to_vec());
-                        }
-                    } else {
-                        let pbase = partner & !(span - 1);
-                        for i in 0..span {
-                            held[pbase + i] = Some(Vec::new());
-                        }
-                    }
-                    span <<= 1;
-                }
-                let mut acc = vec![op.$identity(); n];
-                for o in 0..p {
-                    op.$fold(&mut acc, held[o].as_ref().expect("gathered all blocks"));
-                }
-                Ok(acc)
-            }
-
-            /// Rabenseifner-style allreduce: a direct reduce-scatter of raw
-            /// chunks (rank `j` folds every rank's copy of chunk `j`, in
-            /// ascending rank order) followed by a direct allgather of the
-            /// reduced chunks.
-            fn $sag_allreduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                sent: &Cell<usize>,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                let me = self.rank();
-                let n = contrib.len();
-                for dst in 0..p {
-                    if dst != me {
-                        let (lo, hi) = chunk_bounds(n, p, dst);
-                        if hi > lo {
-                            self.post_sched(encode(&contrib[lo..hi]), dst, sent)?;
-                        }
-                    }
-                }
-                let (mlo, mhi) = chunk_bounds(n, p, me);
-                let mut raw: Vec<Option<Vec<$t>>> = vec![None; p];
-                for src in 0..p {
-                    if src != me && mhi > mlo {
-                        raw[src] = Some(self.$recv_contribs(src, mhi - mlo)?);
-                    }
-                }
-                let mut acc = vec![op.$identity(); mhi - mlo];
-                for origin in 0..p {
-                    match &raw[origin] {
-                        Some(v) => op.$fold(&mut acc, v),
-                        None => op.$fold(&mut acc, &contrib[mlo..mhi]),
-                    }
-                }
-                let mut result = contrib.to_vec();
-                result[mlo..mhi].copy_from_slice(&acc);
-                for dst in 0..p {
-                    if dst != me && mhi > mlo {
-                        self.post_sched(encode(&acc), dst, sent)?;
-                    }
-                }
-                for src in 0..p {
-                    if src != me {
-                        let (lo, hi) = chunk_bounds(n, p, src);
-                        if hi > lo {
-                            let v = self.$recv_contribs(src, hi - lo)?;
-                            result[lo..hi].copy_from_slice(&v);
-                        }
-                    }
-                }
-                Ok(result)
-            }
-
-            #[doc = $reduce_doc]
-            ///
-            /// The result is always the identity-seeded fold of the
-            /// contributions in ascending communicator-rank order,
-            /// bit-identical across every algorithm.
-            ///
-            /// # Errors
-            /// [`MpiError::InvalidRank`] for a bad root;
-            /// [`MpiError::InvalidCounts`] for mismatched contribution
-            /// lengths or an ineligible pinned algorithm;
-            /// [`MpiError::NodeFailed`] if this rank's data path depends on
-            /// a fail-stopped member (every survivor returns the complete
-            /// result or that error, never a torn result).
-            pub fn $reduce(
-                &self,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                match self.resolve_exec(
-                    CollectiveKind::Reduce,
-                    None,
-                    root,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                )? {
-                    Execution::Flat(algo) => self.$reduce_with(algo, contrib, op, root),
-                    Execution::Hier(plan) => {
-                        let rounds = plan.xfer_rounds(contrib.len());
-                        let start = self.clock.now();
-                        let out = self.with_fault_contract(&rounds, |sent| {
-                            self.$hier_gather(&plan, contrib, op, root, sent)
-                        })?;
-                        self.trace_collective(CollectiveKind::Reduce.name(),
-                            CollectiveAlgo::Hierarchical,
-                            contrib.len(),
-                            std::mem::size_of::<$t>(),
-                            start,
-                        );
-                        Ok(out)
-                    }
-                }
-            }
-
-            #[doc = concat!("[`Comm::", stringify!($reduce), "`] with an explicit algorithm.")]
-            ///
-            /// # Errors
-            #[doc = concat!("As [`Comm::", stringify!($reduce), "`].")]
-            pub fn $reduce_with(
-                &self,
-                algo: CollectiveAlgo,
-                contrib: &[$t],
-                op: ReduceOp,
-                root: usize,
-            ) -> MpiResult<Option<Vec<$t>>> {
-                self.check_rank(root)?;
-                let p = self.size();
-                if !eligible(CollectiveKind::Reduce, algo, p) {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for reduce over {p} rank(s)",
-                        algo.name()
-                    )));
-                }
-                let start = self.clock.now();
-                let out = if p == 1 {
-                    let mut acc = vec![op.$identity(); contrib.len()];
-                    op.$fold(&mut acc, contrib);
-                    Some(acc)
-                } else {
-                    let rounds =
-                        schedule(CollectiveKind::Reduce, algo, p, root, contrib.len())
-                            .expect("eligibility checked above");
-                    self.with_fault_contract(&rounds, |sent| match algo {
-                        CollectiveAlgo::Linear => {
-                            self.$linear_reduce(contrib, op, root, sent)
-                        }
-                        CollectiveAlgo::Binomial => {
-                            self.$binomial_reduce(contrib, op, root, sent)
-                        }
-                        _ => unreachable!("eligibility checked above"),
-                    })?
-                };
-                self.trace_collective(CollectiveKind::Reduce.name(),
-                    algo,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                    start,
-                );
-                Ok(out)
-            }
-
-            #[doc = $allreduce_doc]
-            ///
-            /// The result is always the identity-seeded fold of the
-            /// contributions in ascending communicator-rank order,
-            /// bit-identical across every algorithm.
-            ///
-            /// # Errors
-            /// [`MpiError::InvalidCounts`] for mismatched contribution
-            /// lengths or an ineligible pinned algorithm;
-            /// [`MpiError::NodeFailed`] if this rank's data path depends on
-            /// a fail-stopped member (every survivor returns the complete
-            /// result or that error, never a torn result).
-            pub fn $allreduce(&self, contrib: &[$t], op: ReduceOp) -> MpiResult<Vec<$t>> {
-                match self.resolve_exec(
-                    CollectiveKind::Allreduce,
-                    None,
-                    0,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                )? {
-                    Execution::Flat(algo) => self.$allreduce_with(algo, contrib, op),
-                    Execution::Hier(plan) => {
-                        // Gather to rank 0 then broadcast the fold back out
-                        // through the leader chain; one fault contract spans
-                        // both phases (the transfer view concatenates them).
-                        let n = contrib.len();
-                        let rounds = plan.xfer_rounds(n);
-                        let start = self.clock.now();
-                        let out = self.with_fault_contract(&rounds, |sent| {
-                            let red = self.$hier_gather(&plan, contrib, op, 0, sent)?;
-                            let mut buf =
-                                red.unwrap_or_else(|| vec![<$t>::default(); n]);
-                            self.run_movement(&plan.movement, &mut buf, sent)?;
-                            Ok(buf)
-                        })?;
-                        self.trace_collective(CollectiveKind::Allreduce.name(),
-                            CollectiveAlgo::Hierarchical,
-                            n,
-                            std::mem::size_of::<$t>(),
-                            start,
-                        );
-                        Ok(out)
-                    }
-                }
-            }
-
-            #[doc = concat!("[`Comm::", stringify!($allreduce), "`] with an explicit algorithm.")]
-            ///
-            /// # Errors
-            #[doc = concat!("As [`Comm::", stringify!($allreduce), "`].")]
-            pub fn $allreduce_with(
-                &self,
-                algo: CollectiveAlgo,
-                contrib: &[$t],
-                op: ReduceOp,
-            ) -> MpiResult<Vec<$t>> {
-                let p = self.size();
-                if !eligible(CollectiveKind::Allreduce, algo, p) {
-                    return Err(MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for allreduce over {p} rank(s)",
-                        algo.name()
-                    )));
-                }
-                let start = self.clock.now();
-                let out = if p == 1 {
-                    let mut acc = vec![op.$identity(); contrib.len()];
-                    op.$fold(&mut acc, contrib);
-                    acc
-                } else {
-                    // The allreduce schedule (reduce rounds then bcast
-                    // rounds for linear/binomial) is the poison reference:
-                    // the send counter runs through both phases.
-                    let all_rounds =
-                        schedule(CollectiveKind::Allreduce, algo, p, 0, contrib.len())
-                            .expect("eligibility checked above");
-                    self.with_fault_contract(&all_rounds, |sent| match algo {
-                        CollectiveAlgo::Linear | CollectiveAlgo::Binomial => {
-                            // reduce-to-0 then bcast-from-0, both with the
-                            // same algorithm, mirroring the schedule
-                            // generator's concatenated rounds.
-                            let red = match algo {
-                                CollectiveAlgo::Linear => {
-                                    self.$linear_reduce(contrib, op, 0, sent)?
-                                }
-                                _ => self.$binomial_reduce(contrib, op, 0, sent)?,
-                            };
-                            let mut buf = red
-                                .unwrap_or_else(|| vec![<$t>::default(); contrib.len()]);
-                            let rounds = schedule(
-                                CollectiveKind::Bcast,
-                                algo,
-                                p,
-                                0,
-                                contrib.len(),
-                            )
-                            .expect("linear/binomial bcast is always eligible");
-                            self.run_movement(&rounds, &mut buf, sent)?;
-                            Ok(buf)
-                        }
-                        CollectiveAlgo::Ring => self.$ring_allreduce(contrib, op, sent),
-                        CollectiveAlgo::RecursiveDoubling => {
-                            self.$rd_allreduce(contrib, op, sent)
-                        }
-                        CollectiveAlgo::ScatterAllgather => {
-                            self.$sag_allreduce(contrib, op, sent)
-                        }
-                        CollectiveAlgo::Hierarchical => {
-                            unreachable!("eligibility checked above")
-                        }
-                    })?
-                };
-                self.trace_collective(CollectiveKind::Allreduce.name(),
-                    algo,
-                    contrib.len(),
-                    std::mem::size_of::<$t>(),
-                    start,
-                );
-                Ok(out)
-            }
-        }
-    };
-}
-
-impl_engine_reductions!(
-    f64,
-    identity_f64,
-    fold_f64,
-    recv_contribs_f64,
-    linear_reduce_f64,
-    binomial_reduce_f64,
-    hier_gather_f64,
-    ring_allreduce_f64,
-    rd_allreduce_f64,
-    sag_allreduce_f64,
-    reduce_eq_f64,
-    reduce_eq_f64_with,
-    allreduce_eq_f64,
-    allreduce_eq_f64_with,
-    "Engine reduce over equal-length `f64` contributions; the root receives the result.",
-    "Engine allreduce over equal-length `f64` contributions."
-);
-
-impl_engine_reductions!(
-    i64,
-    identity_i64,
-    fold_i64,
-    recv_contribs_i64,
-    linear_reduce_i64,
-    binomial_reduce_i64,
-    hier_gather_i64,
-    ring_allreduce_i64,
-    rd_allreduce_i64,
-    sag_allreduce_i64,
-    reduce_eq_i64,
-    reduce_eq_i64_with,
-    allreduce_eq_i64,
-    allreduce_eq_i64_with,
-    "Engine reduce over equal-length `i64` contributions; the root receives the result.",
-    "Engine allreduce over equal-length `i64` contributions."
+impl_reductions!(
+    i64, fold_i64, identity_i64, reduce_eq_i64, reduce_eq_i64_with, allreduce_eq_i64,
+    allreduce_eq_i64_with, scan_i64, exscan_i64, reduce_scatter_block_i64, reduce_one_i64,
+    allreduce_one_i64
 );
