@@ -416,15 +416,30 @@ impl Comm {
                     ))
                 });
         }
-        let rounds = schedule(kind, algo, p, root, elems).ok_or_else(|| {
+        let rounds = self.flat_schedule(kind, algo, root, elems)?;
+        let (cost, sharing) = self.coll_cost();
+        Ok(price(p, &rounds, elem_bytes as f64, &cost, sharing))
+    }
+
+    /// The flat schedule of `algo` running `kind` on this communicator.
+    ///
+    /// # Errors
+    /// [`MpiError::InvalidCounts`] if `algo` is not eligible here.
+    fn flat_schedule(
+        &self,
+        kind: CollectiveKind,
+        algo: CollectiveAlgo,
+        root: usize,
+        n: usize,
+    ) -> MpiResult<Vec<Vec<Xfer>>> {
+        let p = self.size();
+        schedule(kind, algo, p, root, n).ok_or_else(|| {
             MpiError::InvalidCounts(format!(
                 "algorithm {} is not eligible for {} over {p} rank(s)",
                 algo.name(),
                 kind.name(),
             ))
-        })?;
-        let (cost, sharing) = self.coll_cost();
-        Ok(price(p, &rounds, elem_bytes as f64, &cost, sharing))
+        })
     }
 
     /// Predicts the virtual time of a [`FixedKind`] collective for the
@@ -682,9 +697,9 @@ impl Comm {
     }
 
     /// Engine broadcast: replaces every rank's `buf` with the root's. All
-    /// ranks must pass equal-length buffers (unlike the legacy
-    /// [`Comm::bcast`], non-roots size their buffer up front, which is what
-    /// lets every rank price and select the algorithm locally). The
+    /// ranks must pass equal-length buffers (unlike [`Comm::bcast`],
+    /// non-roots size their buffer up front, which is what lets every rank
+    /// price and select the algorithm locally). The
     /// algorithm is chosen by the universe's [`CollectivePolicy`].
     ///
     /// # Errors
@@ -703,12 +718,8 @@ impl Comm {
                 let rounds = plan.xfer_rounds(buf.len());
                 let start = self.clock.now();
                 self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
-                self.trace_collective(CollectiveKind::Bcast.name(),
-                    CollectiveAlgo::Hierarchical,
-                    buf.len(),
-                    T::WIRE_SIZE,
-                    start,
-                );
+                let (kind, algo) = (CollectiveKind::Bcast, CollectiveAlgo::Hierarchical);
+                self.trace_collective(kind.name(), algo, buf.len(), T::WIRE_SIZE, start);
                 Ok(())
             }
         }
@@ -726,16 +737,7 @@ impl Comm {
         root: usize,
     ) -> MpiResult<()> {
         self.check_rank(root)?;
-        let rounds =
-            schedule(CollectiveKind::Bcast, algo, self.size(), root, buf.len()).ok_or_else(
-                || {
-                    MpiError::InvalidCounts(format!(
-                        "algorithm {} is not eligible for bcast over {} rank(s)",
-                        algo.name(),
-                        self.size()
-                    ))
-                },
-            )?;
+        let rounds = self.flat_schedule(CollectiveKind::Bcast, algo, root, buf.len())?;
         let start = self.clock.now();
         self.with_fault_contract(&rounds, |sent| self.run_movement(&rounds, buf, sent))?;
         self.trace_collective(CollectiveKind::Bcast.name(), algo, buf.len(), T::WIRE_SIZE, start);
@@ -744,8 +746,8 @@ impl Comm {
 
     /// Engine allgather for equal contributions: every rank contributes
     /// `contrib` and receives the concatenation in rank order. All ranks
-    /// must contribute the same number of elements (use the legacy
-    /// [`Comm::allgatherv`] for ragged contributions).
+    /// must contribute the same number of elements (use [`Comm::allgather`]
+    /// for ragged contributions).
     ///
     /// # Errors
     /// [`MpiError::InvalidCounts`] for mismatched contribution lengths or an
@@ -769,12 +771,8 @@ impl Comm {
                 self.with_fault_contract(&rounds, |sent| {
                     self.run_movement(&rounds, &mut buf, sent)
                 })?;
-                self.trace_collective(CollectiveKind::Allgather.name(),
-                    CollectiveAlgo::Hierarchical,
-                    total,
-                    T::WIRE_SIZE,
-                    start,
-                );
+                let (kind, algo) = (CollectiveKind::Allgather, CollectiveAlgo::Hierarchical);
+                self.trace_collective(kind.name(), algo, total, T::WIRE_SIZE, start);
                 Ok(buf)
             }
         }
@@ -792,12 +790,7 @@ impl Comm {
     ) -> MpiResult<Vec<T>> {
         let p = self.size();
         let total = contrib.len() * p;
-        let rounds = schedule(CollectiveKind::Allgather, algo, p, 0, total).ok_or_else(|| {
-            MpiError::InvalidCounts(format!(
-                "algorithm {} is not eligible for allgather over {p} rank(s)",
-                algo.name()
-            ))
-        })?;
+        let rounds = self.flat_schedule(CollectiveKind::Allgather, algo, 0, total)?;
         let mut buf = vec![T::default(); total];
         let (lo, hi) = chunk_bounds(total, p, self.rank());
         buf[lo..hi].copy_from_slice(contrib);
@@ -1094,15 +1087,11 @@ impl Comm {
     ) -> MpiResult<Option<Vec<T>>> {
         self.check_rank(root)?;
         let (p, n) = (self.size(), contrib.len());
-        let rounds = schedule(CollectiveKind::Reduce, algo, p, root, n).ok_or_else(|| {
-            MpiError::InvalidCounts(format!(
-                "algorithm {} is not eligible for reduce over {p} rank(s)",
-                algo.name()
-            ))
-        })?;
+        let rounds = self.flat_schedule(CollectiveKind::Reduce, algo, root, n)?;
         let start = self.clock.now();
         let out = self.with_fault_contract(&rounds, |sent| {
-            let held = self.gather_contribs(&rounds, contrib, |x| block_origins(x, n, p, root), sent)?;
+            let origins = |x: &Xfer| block_origins(x, n, p, root);
+            let held = self.gather_contribs(&rounds, contrib, origins, sent)?;
             Ok((self.rank() == root).then(|| fold_contribs(&held, n, identity, &fold)))
         })?;
         self.trace_collective(CollectiveKind::Reduce.name(), algo, n, T::WIRE_SIZE, start);
@@ -1164,12 +1153,7 @@ impl Comm {
         fold: impl Fn(&mut [T], &[T]),
     ) -> MpiResult<Vec<T>> {
         let (p, n) = (self.size(), contrib.len());
-        let rounds = schedule(CollectiveKind::Allreduce, algo, p, 0, n).ok_or_else(|| {
-            MpiError::InvalidCounts(format!(
-                "algorithm {} is not eligible for allreduce over {p} rank(s)",
-                algo.name()
-            ))
-        })?;
+        let rounds = self.flat_schedule(CollectiveKind::Allreduce, algo, 0, n)?;
         let start = self.clock.now();
         let out = self.with_fault_contract(&rounds, |sent| match algo {
             CollectiveAlgo::Linear | CollectiveAlgo::Binomial => {
@@ -1303,7 +1287,8 @@ macro_rules! impl_reductions {
      $allreduce:ident, $allreduce_with:ident, $scan:ident, $exscan:ident,
      $reduce_scatter_block:ident, $reduce_one:ident, $allreduce_one:ident) => {
         impl Comm {
-            #[doc = concat!("Engine reduce over equal-length `", stringify!($t), "` contributions; the root receives the result.")]
+            #[doc = concat!("Engine reduce over equal-length `", stringify!($t), "`")]
+            /// contributions; the root receives the result.
             ///
             /// The result is always the identity-seeded fold of the
             /// contributions in ascending communicator-rank order,
@@ -1339,7 +1324,8 @@ macro_rules! impl_reductions {
                 self.reduce_flat(algo, contrib, root, op.$identity(), |a, b| op.$fold(a, b))
             }
 
-            #[doc = concat!("Engine allreduce over equal-length `", stringify!($t), "` contributions.")]
+            #[doc = concat!("Engine allreduce over equal-length `", stringify!($t), "`")]
+            /// contributions.
             ///
             /// The result is always the identity-seeded fold of the
             /// contributions in ascending communicator-rank order,

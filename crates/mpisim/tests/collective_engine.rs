@@ -312,7 +312,15 @@ fn fixed_kinds_price_exactly_under_every_contention_model() {
             }
             let c = Arc::new(b.contention(contention).build());
             for root in [0, p - 1] {
-                for kind in FixedKind::ALL {
+                for kind in [
+                    FixedKind::Barrier,
+                    FixedKind::Bcastv,
+                    FixedKind::Gatherv,
+                    FixedKind::Scatterv,
+                    FixedKind::Alltoallv,
+                    FixedKind::Scan,
+                    FixedKind::Exscan,
+                ] {
                     let report = Universe::new(c.clone()).run(move |proc| {
                         let world = proc.world();
                         let counts = vec![n; kind.blocks(p)];

@@ -523,11 +523,9 @@ macro_rules! rsb_case {
     };
 }
 
-// The reduce-scatter and scalar-reduction digests below were re-pinned
-// when these operations moved from a hand-written binomial tree (whose
-// fold order followed the tree) onto the engine's `reduce_eq_*` and
-// `allreduce_eq_*`, which fold in ascending rank order; EXPERIMENTS.md
-// lists the old and new virtual times.
+// The reduce-scatter and scalar-reduction families run the engine's
+// `reduce_eq_*`/`allreduce_eq_*`, so these digests pin its rank-ordered
+// fold and its algorithm choice (EXPERIMENTS.md, "One collective path").
 rsb_case!(
     reduce_scatter_block_f64,
     val,

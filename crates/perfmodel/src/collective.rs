@@ -244,17 +244,6 @@ pub enum FixedKind {
 }
 
 impl FixedKind {
-    /// Every fixed kind.
-    pub const ALL: [FixedKind; 7] = [
-        FixedKind::Barrier,
-        FixedKind::Bcastv,
-        FixedKind::Gatherv,
-        FixedKind::Scatterv,
-        FixedKind::Alltoallv,
-        FixedKind::Scan,
-        FixedKind::Exscan,
-    ];
-
     /// Stable lower-case label.
     pub fn name(self) -> &'static str {
         match self {
