@@ -157,7 +157,7 @@ fn decode_contribs<T: MpiType>(bytes: &[u8], want: usize) -> MpiResult<Vec<T>> {
 /// aligned block.
 fn block_origins(x: &Xfer, n: usize, p: usize, root: usize) -> Vec<usize> {
     let cnt = x.elems() / n;
-    let start = ((x.src + p - root) % p) & !(cnt - 1);
+    let start = ((x.src + p - root) % p) & !(cnt.next_power_of_two() - 1);
     (start..start + cnt).map(|r| (r + root) % p).collect()
 }
 
