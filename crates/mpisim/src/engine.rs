@@ -52,6 +52,7 @@ use crate::datatype::{decode, decode_into, encode, MpiType};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use hetsim::trace::{TraceEvent, TraceKind};
 use hetsim::{ContentionModel, NodeId, PairTable, SimTime};
 use perfmodel::collective::{
@@ -578,7 +579,7 @@ impl Comm {
         rounds: &[Vec<E>],
         state: &mut S,
         sent: &Cell<usize>,
-        send: impl Fn(&S, &E) -> Vec<u8>,
+        mut send: impl FnMut(&mut S, &E) -> Vec<u8>,
         mut recv: impl FnMut(&mut S, &E, Vec<u8>) -> MpiResult<()>,
     ) -> MpiResult<()> {
         let me = self.rank();
@@ -615,8 +616,9 @@ impl Comm {
             &mut held,
             sent,
             |held, e| {
-                let mut payload = Vec::new();
-                for o in origins(e) {
+                let from = origins(e);
+                let mut payload = Vec::with_capacity(from.len() * n);
+                for o in from {
                     payload.extend_from_slice(held[o].as_deref().expect("sends only held ones"));
                 }
                 encode(&payload)
@@ -624,8 +626,12 @@ impl Comm {
             |held, e, bytes| {
                 let from = origins(e);
                 let v: Vec<T> = decode_contribs(&bytes, from.len() * n)?;
-                for (o, c) in from.into_iter().zip(v.chunks(n)) {
-                    held[o] = Some(c.to_vec());
+                if let [o] = from[..] {
+                    held[o] = Some(v);
+                } else {
+                    for (o, c) in from.into_iter().zip(v.chunks(n)) {
+                        held[o] = Some(c.to_vec());
+                    }
                 }
                 Ok(())
             },
@@ -681,7 +687,7 @@ impl Comm {
         root: usize,
         counts: &[usize],
         state: &mut S,
-        send: impl Fn(&S, &Xfer) -> Vec<u8>,
+        send: impl FnMut(&mut S, &Xfer) -> Vec<u8>,
         recv: impl FnMut(&mut S, &Xfer, Vec<u8>) -> MpiResult<()>,
     ) -> MpiResult<()> {
         let rounds = kind
@@ -1217,8 +1223,8 @@ impl Comm {
         sent: &Cell<usize>,
     ) -> MpiResult<Vec<T>> {
         let (p, r) = (self.size(), self.rank());
-        // (result, forward partials), both indexed like the payload.
-        let mut state = (contrib.to_vec(), vec![identity; contrib.len()]);
+        // (result, forward partials in flight keyed by chunk start).
+        let mut state = (contrib.to_vec(), BTreeMap::<usize, Vec<T>>::new());
         self.run_schedule(
             rounds,
             &mut state,
@@ -1231,15 +1237,18 @@ impl Comm {
                     fold(&mut acc, &contrib[x.lo..x.hi]);
                     encode(&acc)
                 } else {
-                    encode(&partial[x.lo..x.hi])
+                    encode(&partial.remove(&x.lo).expect("folded in an earlier round"))
                 }
             },
             |(result, partial), x, bytes| {
                 let mut v: Vec<T> = decode_contribs(&bytes, x.elems())?;
                 if x.src < x.dst {
                     fold(&mut v, &contrib[x.lo..x.hi]);
-                    let to = if r == p - 1 { result } else { partial };
-                    to[x.lo..x.hi].copy_from_slice(&v);
+                    if r == p - 1 {
+                        result[x.lo..x.hi].copy_from_slice(&v);
+                    } else {
+                        partial.insert(x.lo, v);
+                    }
                 } else {
                     result[x.lo..x.hi].copy_from_slice(&v);
                 }
